@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import PseudohermError, UsageError
 from .intertwine import canonical_factorization, self_factorization
 from .linalg import ResidualCheck, Tolerance
@@ -29,7 +27,7 @@ from .report import (
     vector_payload,
 )
 from .spectral import classify_spectrum, decompose, verify_biorthonormality
-from .susy import assemble, from_factorization, null_kernel_check, verify_algebra, witten_index
+from .susy import assemble, from_factorization, verify_algebra, witten_index
 from .twolevel import (
     TwoLevelParams,
     closed_form_system,
@@ -315,18 +313,14 @@ def cmd_witten(args, tol: Tolerance) -> dict:
     report = _base_report("witten", _susy_inputs(args), tol)
     psys = _assemble_from_args(args, tol)
     wit = witten_index(psys, tol)
-    nulls = null_kernel_check(psys, tol)
     report["result"] = _witten_payload(wit)
-    report["result"]["null_check"] = {"plus": nulls.plus, "minus": nulls.minus}
-    guard = max(
-        tol.atol,
-        tol.rtol
-        * max(psys.dim_plus, psys.dim_minus)
-        * (1.0 + np.linalg.norm(psys.d, 2) + np.linalg.norm(psys.d_sharp, 2)),
-    )
+    report["result"]["null_check"] = {
+        "plus": wit.non_null_plus,
+        "minus": wit.non_null_minus,
+    }
     report["checks"] = [
-        check_payload(ResidualCheck("kernel_complex", wit.complex_residual, guard)),
-        check_payload(ResidualCheck("kernel_map", wit.kernel_map_residual, guard)),
+        check_payload(ResidualCheck("kernel_complex", wit.complex_residual, wit.guard)),
+        check_payload(ResidualCheck("kernel_map", wit.kernel_map_residual, wit.guard)),
     ]
     return _finish(report)
 

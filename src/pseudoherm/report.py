@@ -46,15 +46,26 @@ def vector_payload(v: np.ndarray) -> list[list[float]]:
     return [complex_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
 
 
+def _is_number(x) -> bool:
+    """JSON number test; bool is an int subclass but not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_payload(payload) -> np.ndarray:
-    """Strict inverse of `matrix_payload`; raises UsageError on bad shape."""
+    """Strict inverse of `matrix_payload`; raises UsageError on bad shape.
+
+    Dimensions must be JSON integers and entries [re, im] pairs of JSON
+    numbers; strings, booleans and fractional dimensions are rejected.
+    """
     if not isinstance(payload, dict):
         raise UsageError("matrix payload must be a JSON object")
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
+        rows, cols = payload["rows"], payload["cols"]
         entries = payload["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise UsageError(f"matrix payload missing rows/cols/entries: {exc}") from exc
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rows, cols)):
+        raise UsageError("matrix dimensions must be integers")
     if rows <= 0 or cols <= 0:
         raise UsageError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows:
@@ -67,7 +78,7 @@ def matrix_from_payload(payload) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
+                or not all(_is_number(x) for x in pair)
             ):
                 raise UsageError(f"entry ({i},{j}) is not a [re, im] pair")
             out[i, j] = complex(float(pair[0]), float(pair[1]))

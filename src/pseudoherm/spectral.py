@@ -22,7 +22,7 @@ from .linalg import (
     as_matrix,
     cond,
     eig,
-    kernel_basis,
+    rank,
     spectral_norm,
 )
 
@@ -283,7 +283,8 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
             atol=max(tol.atol, 2.0 * mult * ctol),
             cond_max=tol.cond_max,
         )
-        geometric = kernel_basis(h - g.value * np.eye(n), shifted_tol).shape[1]
+        # rank shares kernel_basis's cutoff, so n - rank is the kernel dimension
+        geometric = n - rank(h - g.value * np.eye(n), shifted_tol)
         if geometric < mult:
             raise NonDiagonalizable(
                 f"eigenvalue {g.value:.6g}: geometric multiplicity {geometric} "
@@ -291,7 +292,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
             )
 
     phi = np.linalg.inv(psi).conj().T
-    return BiorthonormalSystem(
+    system = BiorthonormalSystem(
         clusters=_build_clusters(ordered),
         psi=psi,
         phi=phi,
@@ -299,6 +300,8 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
         scale=scale,
         cluster_tol=ctol,
     )
+    system.psi_cond = psi_cond  # seeds the cached property with the value above
+    return system
 
 
 def classify_spectrum(

@@ -112,6 +112,7 @@ class WittenReport:
     non_null_minus: bool
     complex_residual: float
     kernel_map_residual: float
+    guard: float  # threshold of both residuals above
 
     @property
     def non_null_kernels(self) -> bool:
@@ -178,6 +179,10 @@ def _anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
+def _frobenius(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m))
+
+
 def verify_algebra(
     psys: PseudoSusySystem,
     tol: Tolerance = DEFAULT_TOLERANCE,
@@ -185,9 +190,14 @@ def verify_algebra(
 ) -> AlgebraReport:
     """Residuals of the graded algebra relations, report-only.
 
-    Q^2 and (Q#)^2 vanish identically by block structure; {Q, Q#} = 2H,
-    {tau, Q} = 0, [eta, tau] = 0, [Q, H] = 0 and the two intertwining
-    relations are checked against rtol-scaled thresholds.
+    Q^2 = 0, (Q#)^2 = 0, {tau, Q} = 0 and [eta, tau] = 0 hold by block
+    structure; their residuals are Frobenius norms of the dense products
+    (exactly 0 whenever the 2-norm is, never smaller otherwise) and their
+    thresholds stay 0 / rtol-scaled. The other relations are evaluated per
+    sector, in 2-norms: H, eta and {Q, Q#} - 2H are block diagonal, so
+    their norms are the larger of the two sector norms, ||Q|| = ||D||,
+    ||Q#|| = ||D#||, and [Q, H] has the single block D H+ - H- D, which is
+    the intertwine_plus residual.
 
     With `generators` (a list of D-like maps sharing the metrics), the
     extended algebra is checked: {Q_i, Q_j#} = 2 delta_ij H, plus the same
@@ -195,44 +205,49 @@ def verify_algebra(
     Q1 = (Q + Q#)/sqrt(2), Q2 = (Q - Q#)/(sqrt(2) i), which obey
     {Qa_i, Qb_j} = 2 delta_ij delta_ab H.
     """
-    q, qs, h, tau, eta = psys.q, psys.q_sharp, psys.h, psys.tau, psys.eta
-    qscale = 1.0 + spectral_norm(q)
-    qsscale = 1.0 + spectral_norm(qs)
-    hscale = 1.0 + spectral_norm(h)
+    d, ds, hp, hm = psys.d, psys.d_sharp, psys.h_plus, psys.h_minus
+    q, qs, tau, eta = psys.q, psys.q_sharp, psys.tau, psys.eta
+    qscale = 1.0 + spectral_norm(d)
+    qsscale = 1.0 + spectral_norm(ds)
+    hscale = 1.0 + max(spectral_norm(hp), spectral_norm(hm))
+    eta_norm = max(
+        spectral_norm(psys.eta_plus.matrix), spectral_norm(psys.eta_minus.matrix)
+    )
+    commutes = ResidualCheck(
+        "hamiltonian_commutes",
+        spectral_norm(d @ hp - hm @ d),
+        tol.rtol * qscale * hscale,
+    )
     checks = [
-        ResidualCheck("q_squared", spectral_norm(q @ q), 0.0),
-        ResidualCheck("q_sharp_squared", spectral_norm(qs @ qs), 0.0),
+        ResidualCheck("q_squared", _frobenius(q @ q), 0.0),
+        ResidualCheck("q_sharp_squared", _frobenius(qs @ qs), 0.0),
         ResidualCheck(
             "susy_anticommutator",
-            spectral_norm(_anticommutator(q, qs) - 2.0 * h),
+            max(
+                spectral_norm(ds @ d - 2.0 * hp),
+                spectral_norm(d @ ds - 2.0 * hm),
+            ),
             tol.rtol * qscale * qsscale,
         ),
         ResidualCheck(
-            "grading", spectral_norm(_anticommutator(tau, q)), tol.rtol * qscale
+            "grading", _frobenius(_anticommutator(tau, q)), tol.rtol * qscale
         ),
         ResidualCheck(
             "eta_even",
-            spectral_norm(eta @ tau - tau @ eta),
-            tol.rtol * (1.0 + spectral_norm(eta)),
+            _frobenius(eta @ tau - tau @ eta),
+            tol.rtol * (1.0 + eta_norm),
         ),
-        ResidualCheck(
-            "hamiltonian_commutes",
-            spectral_norm(q @ h - h @ q),
-            tol.rtol * qscale * hscale,
-        ),
-        ResidualCheck(
-            "intertwine_plus",
-            spectral_norm(psys.d @ psys.h_plus - psys.h_minus @ psys.d),
-            tol.rtol * (1.0 + spectral_norm(psys.d)) * hscale,
-        ),
+        commutes,
+        ResidualCheck("intertwine_plus", commutes.value, commutes.threshold),
         ResidualCheck(
             "intertwine_minus",
-            spectral_norm(psys.d_sharp @ psys.h_minus - psys.h_plus @ psys.d_sharp),
-            tol.rtol * (1.0 + spectral_norm(psys.d_sharp)) * hscale,
+            spectral_norm(ds @ hm - hp @ ds),
+            tol.rtol * qsscale * hscale,
         ),
     ]
 
     if generators is not None:
+        h = psys.h
         systems = [assemble(g, psys.eta_plus, psys.eta_minus) for g in generators]
         qs_list = [(s.q, s.q_sharp) for s in systems]
         for i, (qi, qis) in enumerate(qs_list, start=1):
@@ -280,20 +295,20 @@ def null_kernel_check(
     zero eigenvalue (basis-independent), i.e. every diagonalizing kernel
     vector v has |<v, eta v>| above atol * ||eta||. Empty kernels pass.
     """
-
-    def sector(hmat: np.ndarray, eta: EtaOperator) -> bool:
-        kernel = kernel_basis(hmat, tol)
-        if kernel.shape[1] == 0:
-            return True
-        restricted = kernel.conj().T @ eta.matrix @ kernel
-        restricted = 0.5 * (restricted + restricted.conj().T)
-        eigs = np.linalg.eigvalsh(restricted)
-        return bool(np.min(np.abs(eigs)) > tol.atol * spectral_norm(eta.matrix))
-
     return NullKernelStatus(
-        plus=sector(psys.h_plus, psys.eta_plus),
-        minus=sector(psys.h_minus, psys.eta_minus),
+        plus=_non_null(kernel_basis(psys.h_plus, tol), psys.eta_plus, tol),
+        minus=_non_null(kernel_basis(psys.h_minus, tol), psys.eta_minus, tol),
     )
+
+
+def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
+    """True when eta restricted to span(kernel) has no zero eigenvalue."""
+    if kernel.shape[1] == 0:
+        return True
+    restricted = kernel.conj().T @ eta.matrix @ kernel
+    restricted = 0.5 * (restricted + restricted.conj().T)
+    eigs = np.linalg.eigvalsh(restricted)
+    return bool(np.min(np.abs(eigs)) > tol.atol * spectral_norm(eta.matrix))
 
 
 def witten_index(
@@ -348,7 +363,6 @@ def witten_index(
 
     betti_plus = ker_d0 - rank_d0_flat
     betti_minus = ker_d0_flat - rank_d0
-    nulls = null_kernel_check(psys, tol)
 
     return WittenReport(
         d0_plus=d0_plus,
@@ -362,10 +376,11 @@ def witten_index(
         betti_minus=betti_minus,
         analytic_index_sigma=betti_plus - betti_minus,
         analytic_index_d=ker_d - ker_d_dagger,
-        non_null_plus=nulls.plus,
-        non_null_minus=nulls.minus,
+        non_null_plus=_non_null(k_plus, psys.eta_plus, tol),
+        non_null_minus=_non_null(k_minus, psys.eta_minus, tol),
         complex_residual=complex_residual,
         kernel_map_residual=kernel_map_residual,
+        guard=guard,
     )
 
 

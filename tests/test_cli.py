@@ -83,6 +83,24 @@ class TestSpectrumCommand:
         code = main(["spectrum", str(tmp_path / "missing.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"rows":"1","cols":1,"entries":[[[1,0]]]}',
+            '{"rows":1,"cols":true,"entries":[[[1,0]]]}',
+            '{"rows":2.5,"cols":1,"entries":[[[1,0]],[[1,0]]]}',
+            '{"rows":1,"cols":1,"entries":[[[true,0]]]}',
+            '{"rows":1,"cols":1,"entries":[[[1,false]]]}',
+        ],
+        ids=["string_rows", "bool_cols", "fractional_rows", "bool_re", "bool_im"],
+    )
+    def test_malformed_payload_exits_two(self, capsys, tmp_path, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(payload)
+        with pytest.raises(UsageError):
+            parse_matrix_file(p)
+        assert main(["spectrum", str(p)]) == 2
+
     def test_psi_matrix_round_trips(self, capsys, tmp_path, osc_file):
         code, out = run(capsys, "spectrum", osc_file)
         payload = json.loads(out)["result"]["psi"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoherm.linalg import (
     DEFAULT_TOLERANCE,
@@ -125,4 +127,20 @@ class TestRank:
         a = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         b = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         mat = a @ b if r else np.zeros((m, n), dtype=complex)
+        assert rank(mat) + kernel_basis(mat).shape[1] == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        r=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_plus_kernel_dim_is_cols_property(self, m, n, r, seed):
+        # decompose counts eigenvectors as n - rank, relying on this identity
+        rng = np.random.default_rng(seed)
+        r = min(r, m, n)
+        a = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        b = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        mat = a @ b
         assert rank(mat) + kernel_basis(mat).shape[1] == n

@@ -53,6 +53,18 @@ class TestDecompose:
         with pytest.raises(NonDiagonalizable):
             decompose(m)
 
+    def test_near_jordan_block_fails_geometric_count(self):
+        # cond(psi) ~ 2e9 stays below cond_max, so the eigenvector count of
+        # the merged cluster is what rejects it
+        h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]])
+        with pytest.raises(NonDiagonalizable, match="geometric multiplicity"):
+            decompose(h)
+
+    def test_psi_cond_is_that_of_psi(self):
+        rng = np.random.default_rng(3)
+        sys = decompose(matrix_with_spectrum([2.0, 2.0, -1.0, 1 + 1j, 1 - 1j], rng))
+        assert sys.psi_cond == pytest.approx(np.linalg.cond(sys.psi), rel=1e-12)
+
     def test_degenerate_cluster_merges(self):
         rng = np.random.default_rng(5)
         h = matrix_with_spectrum([2.0, 2.0, -1.0], rng)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,61 @@ class TestVerifyAlgebra:
         assert np.allclose(psys.h_plus, 0.0)
         report = verify_algebra(psys, generators=[d, 1j * d])
         assert report.passed
+
+
+def _rank_one(rows, cols, norm, rng):
+    u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+    return norm * np.outer(u, v.conj()) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def _entry(rows, cols, i, j, value):
+    e = np.zeros((rows, cols), dtype=complex)
+    e[i, j] = value
+    return e
+
+
+EPS = 1e-3
+P, M = slice(0, 3), slice(3, 5)  # plus and minus blocks of the 5 x 5 system
+# (field, block, perturbation, check, expected residual). D maps the 3-dim
+# plus sector to the 2-dim minus sector with identity metrics, so
+# H+ = diag(0.5, 2, 0), H- = diag(0.5, 2) and every residual starts at 0.
+PLANTS = [
+    ("h_plus", None, _rank_one(3, 3, EPS, np.random.default_rng(0)),
+     "susy_anticommutator", 2 * EPS),
+    ("h_minus", None, _rank_one(2, 2, EPS, np.random.default_rng(1)),
+     "susy_anticommutator", 2 * EPS),
+    # E H+ - H- E for E = eps e0 e1^T is eps (2 - 0.5) e0 e1^T
+    ("d", None, _entry(2, 3, 0, 1, EPS), "intertwine_plus", 1.5 * EPS),
+    ("d", None, _entry(2, 3, 0, 1, EPS), "hamiltonian_commutes", 1.5 * EPS),
+    ("d_sharp", None, _entry(3, 2, 1, 0, EPS), "intertwine_minus", 1.5 * EPS),
+    # an upper-right block E of Q gives Q^2 = diag(E D, D E); E = eps e2 e0^T
+    # has D E = 0 (e2 spans ker D) and E D = eps e2 e0^T, and likewise for Q#
+    ("q", (P, M), _entry(3, 2, 2, 0, EPS), "q_squared", EPS),
+    ("q_sharp", (M, P), _entry(2, 3, 0, 2, EPS), "q_sharp_squared", EPS),
+    ("q", (P, P), _rank_one(3, 3, EPS, np.random.default_rng(2)), "grading", 2 * EPS),
+    ("q", (M, M), _rank_one(2, 2, EPS, np.random.default_rng(3)), "grading", 2 * EPS),
+    ("eta", (P, M), _rank_one(3, 2, EPS, np.random.default_rng(4)), "eta_even", 2 * EPS),
+]
+
+
+class TestVerifyAlgebraPerSector:
+    @pytest.mark.parametrize(
+        "field,block,perturbation,name,expected",
+        PLANTS,
+        ids=[f"{p[3]}-{p[0]}-{i}" for i, p in enumerate(PLANTS)],
+    )
+    def test_planted_perturbation_is_reported(
+        self, field, block, perturbation, name, expected
+    ):
+        d = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        psys = assemble(d, EtaOperator.identity(3), EtaOperator.identity(2))
+        assert all(c.value == 0.0 for c in verify_algebra(psys).checks)
+        planted = getattr(psys, field).copy()
+        planted[block if block is not None else ...] += perturbation
+        report = verify_algebra(replace(psys, **{field: planted}))
+        assert report[name].value == pytest.approx(expected, rel=1e-9)
+        assert not report[name].passed
 
 
 class TestNullKernelCheck:
