@@ -211,14 +211,20 @@ def build_L(pairing: SpectralPairing, alpha) -> Intertwiner:
             f"expected {len(pairing.matches)} coefficients, got {len(alpha)}"
         )
     sys1, sys2 = pairing.system1, pairing.system2
-    l = np.zeros((sys2.dim, sys1.dim), dtype=complex)
+    cols1: list[int] = []
+    cols2: list[int] = []
+    coef: list[complex] = []
     for a, m in zip(alpha, pairing.matches):
         if a == 0:
             continue
-        c1, c2 = sys1.clusters[m.index1], sys2.clusters[m.index2]
-        psi2 = sys2.psi[:, c2.start : c2.start + m.mu]
-        phi1 = sys1.phi[:, c1.start : c1.start + m.mu]
-        l += a * (psi2 @ phi1.conj().T)
+        start1 = sys1.clusters[m.index1].start
+        start2 = sys2.clusters[m.index2].start
+        cols1.extend(range(start1, start1 + m.mu))
+        cols2.extend(range(start2, start2 + m.mu))
+        coef.extend([a] * m.mu)
+    # one GEMM over all matched columns instead of a rank-mu update per cluster
+    psi2 = sys2.psi[:, cols2] * np.array(coef, dtype=complex)
+    l = psi2 @ sys1.phi[:, cols1].conj().T
     return Intertwiner(matrix=l, alpha=alpha, pairing=pairing)
 
 
@@ -277,7 +283,7 @@ def canonical_factorization(
     residual_h2 = spectral_norm(h2 - intertwiner.matrix @ lsharp)
     threshold = (
         tol.rtol
-        * (1.0 + max(spectral_norm(h1), spectral_norm(h2)))
+        * (1.0 + max(sys1.scale, sys2.scale))
         * sys1.psi_cond
         * sys2.psi_cond
     )

@@ -11,6 +11,7 @@ numerical inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,15 @@ class EtaOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
+    def norm(self) -> float:
+        """||eta||_2."""
+        return spectral_norm(self.matrix)
+
+    @cached_property
     def cond(self) -> float:
-        return spectral_norm(self.matrix) * spectral_norm(self.inverse)
+        """||eta||_2 ||eta^-1||_2."""
+        return self.norm * spectral_norm(self.inverse)
 
     @classmethod
     def identity(cls, n: int) -> "EtaOperator":
@@ -128,7 +135,9 @@ class EtaOperator:
         s = singular_values(m)
         if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, float(s[0])):
             raise InvalidEta("metric is numerically singular")
-        return cls(matrix=m, inverse=np.linalg.inv(m))
+        eta = cls(matrix=m, inverse=np.linalg.inv(m))
+        eta.norm = scale  # seeds the cached property with the value above
+        return eta
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .linalg import (
     cond,
     eig,
     rank,
+    singular_values,
     spectral_norm,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "SpectrumClass",
     "BiorthonormalityReport",
     "cluster_eigenvalues",
+    "build_clusters",
     "decompose",
     "classify_spectrum",
     "verify_biorthonormality",
@@ -76,7 +78,10 @@ class EigenCluster:
 
 @dataclass(eq=False)
 class BiorthonormalSystem:
-    """Eigenvalue clusters plus the paired eigenvector matrices psi and phi."""
+    """Eigenvalue clusters plus the paired eigenvector matrices psi and phi.
+
+    `scale` is the 2-norm of the decomposed matrix.
+    """
 
     clusters: tuple[EigenCluster, ...]
     psi: np.ndarray
@@ -229,7 +234,17 @@ def cluster_eigenvalues(values: np.ndarray, ctol: float) -> list[_Group]:
     return ordered
 
 
-def _build_clusters(ordered: list[_Group]) -> tuple[EigenCluster, ...]:
+def build_clusters(
+    values: np.ndarray, ctol: float
+) -> tuple[tuple[EigenCluster, ...], list[int]]:
+    """Cluster `values` within `ctol` and lay the clusters out as columns.
+
+    Returns the clusters in deterministic order (see `cluster_eigenvalues`)
+    and the permutation `order` such that values[order] runs through them
+    cluster by cluster; eigenvector columns reordered the same way line up
+    with each cluster's `cols`.
+    """
+    ordered = cluster_eigenvalues(values, ctol)
     position = {id(g): i for i, g in enumerate(ordered)}
     clusters = []
     start = 0
@@ -245,7 +260,33 @@ def _build_clusters(ordered: list[_Group]) -> tuple[EigenCluster, ...]:
             )
         )
         start += len(g.members)
-    return tuple(clusters)
+    order = [i for g in ordered for i in g.members]
+    return tuple(clusters), order
+
+
+def _eigenvectors_certified(
+    h: np.ndarray, block: np.ndarray, value: complex, scale: float, tol: Tolerance
+) -> bool:
+    """True when `block` proves n - rank(h - value*I, tol) >= block.shape[1].
+
+    `scale` is ||H||_2. With V = block and R = H V - value V, Courant-Fischer
+    bounds mu singular values of H - value I by ||R||_F / sigma_min(V).
+    rank's cutoff is at least c_low = tol.svd_cutoff((n, n), ||H|| - |value|),
+    as sigma_max(H - value I) >= ||H|| - |value|. The bound is taken with
+    the rounding of R and sigma_min(V) added, so nearly parallel columns
+    cannot certify on noise; together with the SVD's own rounding
+    (n eps ||H - value I||) it must stay within c_low / 2, and the other
+    half absorbs the rounding of the cutoff itself.
+    """
+    n = block.shape[0]
+    eps = np.finfo(float).eps
+    c_low = tol.svd_cutoff((n, n), max(scale - abs(value), 0.0))
+    vnorm = float(np.linalg.norm(block))
+    smin = float(singular_values(block)[-1]) - n * eps * vnorm
+    resid = float(np.linalg.norm(h @ block - value * block))
+    resid += n * eps * (np.sqrt(n) * scale + abs(value)) * vnorm
+    svd_rounding = n * eps * (scale + abs(value))
+    return smin > 0.0 and resid / smin + svd_rounding <= 0.5 * c_low
 
 
 def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
@@ -256,15 +297,22 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     by construction.
 
     Raises NonDiagonalizable when cond(psi) exceeds tol.cond_max or a
-    degenerate cluster has too few independent eigenvectors.
+    degenerate cluster has too few independent eigenvectors. A cluster of
+    value lambda and multiplicity mu has enough when n - rank(H - lambda I)
+    >= mu under a cutoff widened to the cluster's spread. That rank needs an
+    n x n SVD, so each cluster first tries a certificate from its own mu
+    eigenvector columns V: Courant-Fischer bounds the mu-th smallest
+    singular value of H - lambda I by ||H V - lambda V||_F / sigma_min(V).
+    When the bound, with its rounding, is at most half the lowest value the
+    rank cutoff can take, the SVD could only agree and is skipped. Otherwise
+    (nearly parallel columns, near-Jordan blocks) the SVD decides as before.
     """
     h = as_matrix(h, square=True)
     values, vectors = eig(h)
     scale = spectral_norm(h)
     ctol = tol.cluster_tol(scale)
 
-    ordered = cluster_eigenvalues(values, ctol)
-    order = [i for g in ordered for i in g.members]
+    clusters, order = build_clusters(values, ctol)
     psi = vectors[:, order]
 
     psi_cond = cond(psi)
@@ -273,8 +321,8 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
             f"eigenvector condition number {psi_cond:.3e} exceeds {tol.cond_max:.3e}"
         )
     n = h.shape[0]
-    for g in ordered:
-        mult = len(g.members)
+    for c in clusters:
+        mult = c.multiplicity
         if mult < 2:
             continue
         # clusters may span up to mult*ctol after transitive merging
@@ -283,17 +331,19 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
             atol=max(tol.atol, 2.0 * mult * ctol),
             cond_max=tol.cond_max,
         )
+        if _eigenvectors_certified(h, psi[:, c.cols], c.value, scale, shifted_tol):
+            continue
         # rank shares kernel_basis's cutoff, so n - rank is the kernel dimension
-        geometric = n - rank(h - g.value * np.eye(n), shifted_tol)
+        geometric = n - rank(h - c.value * np.eye(n), shifted_tol)
         if geometric < mult:
             raise NonDiagonalizable(
-                f"eigenvalue {g.value:.6g}: geometric multiplicity {geometric} "
+                f"eigenvalue {c.value:.6g}: geometric multiplicity {geometric} "
                 f"below algebraic multiplicity {mult}"
             )
 
     phi = np.linalg.inv(psi).conj().T
     system = BiorthonormalSystem(
-        clusters=_build_clusters(ordered),
+        clusters=clusters,
         psi=psi,
         phi=phi,
         dim=n,

@@ -11,6 +11,7 @@ analytic index of D when no kernel vector is metric-null).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,16 @@ class PseudoSusySystem:
     h: np.ndarray
     eta: np.ndarray
     eta_inv: np.ndarray
+
+    @cached_property
+    def d_norm(self) -> float:
+        """||D||_2, shared by the algebra checks and the Witten guard."""
+        return spectral_norm(self.d)
+
+    @cached_property
+    def d_sharp_norm(self) -> float:
+        """||D#||_2."""
+        return spectral_norm(self.d_sharp)
 
     @property
     def dim_plus(self) -> int:
@@ -207,12 +218,10 @@ def verify_algebra(
     """
     d, ds, hp, hm = psys.d, psys.d_sharp, psys.h_plus, psys.h_minus
     q, qs, tau, eta = psys.q, psys.q_sharp, psys.tau, psys.eta
-    qscale = 1.0 + spectral_norm(d)
-    qsscale = 1.0 + spectral_norm(ds)
+    qscale = 1.0 + psys.d_norm
+    qsscale = 1.0 + psys.d_sharp_norm
     hscale = 1.0 + max(spectral_norm(hp), spectral_norm(hm))
-    eta_norm = max(
-        spectral_norm(psys.eta_plus.matrix), spectral_norm(psys.eta_minus.matrix)
-    )
+    eta_norm = max(psys.eta_plus.norm, psys.eta_minus.norm)
     commutes = ResidualCheck(
         "hamiltonian_commutes",
         spectral_norm(d @ hp - hm @ d),
@@ -308,7 +317,7 @@ def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
     restricted = kernel.conj().T @ eta.matrix @ kernel
     restricted = 0.5 * (restricted + restricted.conj().T)
     eigs = np.linalg.eigvalsh(restricted)
-    return bool(np.min(np.abs(eigs)) > tol.atol * spectral_norm(eta.matrix))
+    return bool(np.min(np.abs(eigs)) > tol.atol * eta.norm)
 
 
 def witten_index(
@@ -335,7 +344,7 @@ def witten_index(
         tol.atol,
         tol.rtol
         * max(psys.dim_plus, psys.dim_minus)
-        * (1.0 + spectral_norm(psys.d) + spectral_norm(psys.d_sharp)),
+        * (1.0 + psys.d_norm + psys.d_sharp_norm),
     )
     res_fwd = spectral_norm((eye_m - k_minus @ k_minus.conj().T) @ psys.d @ k_plus)
     res_bwd = spectral_norm((eye_p - k_plus @ k_plus.conj().T) @ psys.d_sharp @ k_minus)

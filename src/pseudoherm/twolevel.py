@@ -17,11 +17,7 @@ from .errors import DegenerateTwoLevel, NonRealDeterminant, NumericalFailure
 from .intertwine import Factorization, Intertwiner, match_spectra
 from .linalg import DEFAULT_TOLERANCE, ResidualCheck, Tolerance, as_matrix, spectral_norm
 from .metric import EtaOperator, SignAssignment
-from .spectral import (
-    BiorthonormalSystem,
-    _build_clusters,
-    cluster_eigenvalues,
-)
+from .spectral import BiorthonormalSystem, build_clusters
 
 __all__ = [
     "TwoLevelParams",
@@ -150,12 +146,11 @@ def closed_form_system(
     psi1, psi2, phi1, phi2 = _vectors(params)
     values = np.array([-params.e, params.e])
     ctol = tol.cluster_tol(params.scale)
-    groups = cluster_eigenvalues(values, ctol)
-    order = [g.members[0] for g in groups]
+    clusters, order = build_clusters(values, ctol)
     psi_cols = [psi1, psi2]
     phi_cols = [phi1, phi2]
     return BiorthonormalSystem(
-        clusters=_build_clusters(groups),
+        clusters=clusters,
         psi=np.column_stack([psi_cols[i] for i in order]),
         phi=np.column_stack([phi_cols[i] for i in order]),
         dim=2,

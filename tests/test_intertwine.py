@@ -121,6 +121,37 @@ class TestBuildL:
             assert np.allclose(left, a * single, atol=1e-9)
             assert np.allclose(right, a * single, atol=1e-9)
 
+    def test_single_gemm_equals_per_cluster_sum(self):
+        # zero clusters of sizes 3 and 1: only the first column enters
+        rng = np.random.default_rng(21)
+        pair = [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j]
+        sys1 = decompose(
+            matrix_with_spectrum([0.0, 0.0, 0.0, 2.0, 2.0, -1.5] + pair, rng)
+        )
+        sys2 = decompose(matrix_with_spectrum([0.0, 2.0, 2.0, -1.5] + pair, rng))
+        pairing = match_spectra(sys1, sys2)
+        zero = [m for m in pairing.matches if m.is_zero]
+        assert len(zero) == 1 and zero[0].mu == 1
+        k = len(pairing.matches)
+        alpha = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        # the zero cluster keeps a nonzero coefficient; another one is skipped
+        alpha[(pairing.matches.index(zero[0]) + 1) % k] = 0.0
+        expected = np.zeros((sys2.dim, sys1.dim), dtype=complex)
+        for a, m in zip(alpha, pairing.matches):
+            c1, c2 = sys1.clusters[m.index1], sys2.clusters[m.index2]
+            psi2 = sys2.psi[:, c2.start : c2.start + m.mu]
+            phi1 = sys1.phi[:, c1.start : c1.start + m.mu]
+            expected += a * (psi2 @ phi1.conj().T)
+        l = build_L(pairing, alpha).matrix
+        assert np.linalg.norm(l - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_all_zero_alpha_gives_zero_map(self):
+        rng = np.random.default_rng(22)
+        sys1, sys2 = isospectral_pair(rng, 4)
+        pairing = match_spectra(sys1, sys2)
+        l = build_L(pairing, [0.0] * len(pairing.matches)).matrix
+        assert l.shape == (4, 4) and not l.any()
+
 
 class TestCanonicalFactorization:
     def test_diagonal_mixed_signs(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pseudoherm import spectral
 from pseudoherm.errors import NonDiagonalizable
-from pseudoherm.linalg import Tolerance
+from pseudoherm.linalg import DEFAULT_TOLERANCE, Tolerance
 from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_REAL,
@@ -11,6 +14,7 @@ from pseudoherm.spectral import (
     TAG_CONJUGATE_PAIRED,
     TAG_MIXED,
     TAG_UNPAIRABLE,
+    build_clusters,
     classify_spectrum,
     decompose,
     reconstruct,
@@ -190,3 +194,82 @@ class TestClusterTolerance:
         h = np.diag([1.0, 1.0 + 1e-6, 3.0])
         sys = decompose(h, Tolerance(rtol=1e-9))
         assert len(sys.clusters) == 3
+
+
+def svd_rule_rejects(h, tol=DEFAULT_TOLERANCE) -> bool:
+    """Reference diagonalizability rule: cond(psi) against cond_max, then one
+    full SVD of H - lambda I per degenerate cluster, counting the singular
+    values at or below the cluster's widened cutoff."""
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    values, vectors = np.linalg.eig(h)
+    ctol = tol.cluster_tol(np.linalg.norm(h, 2))
+    clusters, order = build_clusters(values, ctol)
+    if not np.linalg.cond(vectors[:, order]) <= tol.cond_max:
+        return True
+    for c in clusters:
+        if c.multiplicity < 2:
+            continue
+        atol = max(tol.atol, 2.0 * c.multiplicity * ctol)
+        s = np.linalg.svd(h - c.value * np.eye(n), compute_uv=False)
+        cutoff = max(atol, n * tol.rtol * s[0])
+        if np.count_nonzero(s <= cutoff) < c.multiplicity:
+            return True
+    return False
+
+
+class TestEigenvectorCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mults=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+        simple=st.integers(0, 3),
+        jordan=st.booleans(),
+        log_eps=st.floats(-13.0, -6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcome_matches_svd_rule_property(
+        self, mults, simple, jordan, log_eps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        count = len(mults) + simple + 1
+        # distinct values 0.5 apart; points[0] is kept for the Jordan block
+        points = rng.permutation(np.arange(-count, count + 1))[:count] * 0.5
+        values = []
+        for k, mult in enumerate(mults, start=1):
+            values += [points[k]] * mult
+        values += list(points[len(mults) + 1 :])
+        diag = np.diag(np.asarray(values, dtype=complex))
+        if jordan:
+            lam, eps = points[0], 10.0**log_eps
+            block = np.array([[lam, 1.0], [0.0, lam + eps]], dtype=complex)
+            diag = np.block(
+                [
+                    [diag, np.zeros((len(values), 2))],
+                    [np.zeros((2, len(values))), block],
+                ]
+            )
+        n = diag.shape[0]
+        v = well_conditioned(n, rng)
+        h = v @ diag @ np.linalg.inv(v)
+        try:
+            decompose(h)
+            rejected = False
+        except NonDiagonalizable:
+            rejected = True
+        assert rejected == svd_rule_rejects(h)
+
+    def test_rank_runs_only_when_the_certificate_cannot_decide(self, monkeypatch):
+        calls = []
+        real_rank = spectral.rank
+
+        def counted(m, tol):
+            calls.append(m.shape)
+            return real_rank(m, tol)
+
+        monkeypatch.setattr(spectral, "rank", counted)
+        rng = np.random.default_rng(8)
+        decompose(matrix_with_spectrum([1.0, 1.0, 1.0, -2.0, -2.0, 0.5], rng))
+        assert calls == []
+        with pytest.raises(NonDiagonalizable, match="geometric multiplicity"):
+            decompose(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]))
+        assert len(calls) >= 1
