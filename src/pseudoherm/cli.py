@@ -10,9 +10,11 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .errors import PseudohermError, UsageError
 from .intertwine import canonical_factorization, self_factorization
@@ -48,6 +50,7 @@ def _complex_flag(text: str) -> complex:
     return complex(re, im)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudoherm",
@@ -422,10 +425,67 @@ def _pretty_lines(key: str, value, indent: int = 0) -> list[str]:
     return [f"{pad}{key}: {value}"]
 
 
+def _entries_json(entries, pad: str) -> str | None:
+    """JSON text of a non-empty rectangular list of rows of [float, float]
+    pairs with finite values, formatted one row at a time; None otherwise.
+
+    `pad` is a newline plus the indent of the line that holds the list.
+    """
+    if type(entries) is not list or set(map(type, entries)) != {list}:
+        return None
+    width = len(entries[0])
+    if set(map(len, entries)) != {width}:
+        return None
+    pairs = list(chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
+        return None
+    row_pad, pair_pad, value_pad = pad + "  ", pad + "    ", pad + "      "
+    pair = f"[{value_pad}%r,{value_pad}%r{pair_pad}]"
+    row = "[" + pair_pad + ("," + pair_pad).join([pair] * width) + row_pad + "]"
+    step = 2 * width
+    rows = [row % tuple(flat[i : i + step]) for i in range(0, len(flat), step)]
+    text = "[" + row_pad + ("," + row_pad).join(rows) + pad + "]"
+    # a finite float's repr has no "n"; json spells nan and inf NaN/Infinity
+    return None if "n" in text else text
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, for a value on a line
+    indented by `pad` (a newline plus spaces).
+
+    Values under an "entries" key take `_entries_json` when it accepts them;
+    everything else recurses down to `json.dumps` of each leaf.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            # json coerces and orders non-string keys itself; its output
+            # holds no raw newline, so re-indenting it is exact
+            return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+        inner = pad + "  "
+        items = []
+        for key in sorted(value):
+            text = _entries_json(value[key], inner) if key == "entries" else None
+            items.append(f"{json.dumps(key)}: {text or _json(value[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value)
+
+
 def emit_report(report: dict, pretty: bool = False) -> str:
-    """Render a report: byte-stable JSON, or aligned tables with --pretty."""
+    """Render a report: byte-stable JSON, exactly
+    `json.dumps(report, sort_keys=True, indent=2)`, or aligned tables with
+    --pretty."""
     if not pretty:
-        return json.dumps(report, sort_keys=True, indent=2)
+        return _json(report)
     lines = [f"command: {report['command']}"]
     for k in sorted(report.get("inputs", {})):
         lines.extend(_pretty_lines(k, report["inputs"][k], indent=1))

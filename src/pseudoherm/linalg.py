@@ -7,6 +7,7 @@ single policy governs the whole library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class Tolerance:
     cond_max: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0 or self.atol <= 0 or self.cond_max <= 0:
-            raise ValueError("tolerance fields must be strictly positive")
+        fields = (self.rtol, self.atol, self.cond_max)
+        if not all(math.isfinite(x) and x > 0 for x in fields):
+            raise ValueError("tolerance fields must be finite and strictly positive")
 
     def svd_cutoff(self, shape: tuple[int, int], smax: float) -> float:
         return max(self.atol, max(shape) * self.rtol * smax)

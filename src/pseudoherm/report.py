@@ -38,12 +38,16 @@ def matrix_payload(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[complex_pair(z) for z in row] for row in m],
+        "entries": [
+            [[re, im] for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(m.real.tolist(), m.imag.tolist())
+        ],
     }
 
 
 def vector_payload(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
+    v = np.asarray(v, dtype=complex).ravel()
+    return [[re, im] for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
 def _is_number(x) -> bool:
@@ -81,7 +85,10 @@ def matrix_from_payload(payload) -> np.ndarray:
                 or not all(_is_number(x) for x in pair)
             ):
                 raise UsageError(f"entry ({i},{j}) is not a [re, im] pair")
-            out[i, j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                out[i, j] = complex(float(pair[0]), float(pair[1]))
+            except OverflowError as exc:
+                raise UsageError(f"entry ({i},{j}) is out of double range") from exc
     if not np.all(np.isfinite(out)):
         raise UsageError("matrix entries must be finite")
     return out
@@ -90,9 +97,11 @@ def matrix_from_payload(payload) -> np.ndarray:
 def parse_matrix_file(path) -> np.ndarray:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,11 +1,29 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudoherm.cli import main
+from pseudoherm.cli import (
+    _entries_json,
+    _parser,
+    _resolve_tolerance,
+    dispatch,
+    emit_report,
+    main,
+)
 from pseudoherm.errors import UsageError
-from pseudoherm.report import matrix_from_payload, matrix_payload, parse_matrix_file
+from pseudoherm.report import (
+    complex_pair,
+    matrix_from_payload,
+    matrix_payload,
+    parse_matrix_file,
+    vector_payload,
+)
+
+from support import positive_definite, well_conditioned
 
 
 def write_matrix(path, m):
@@ -50,6 +68,20 @@ class TestMatrixFile:
         p.write_text("not json")
         with pytest.raises(UsageError):
             parse_matrix_file(p)
+
+    def test_huge_integer_entry_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text('{"rows":1,"cols":1,"entries":[[[1' + "0" * 400 + ',0]]]}')
+        with pytest.raises(UsageError):
+            parse_matrix_file(p)
+        assert main(["spectrum", str(p)]) == 2
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b'\xff\xfe{"rows":1,"cols":1,"entries":[[[1,0]]]}')
+        with pytest.raises(UsageError):
+            parse_matrix_file(p)
+        assert main(["spectrum", str(p)]) == 2
 
     def test_payload_round_trip_is_lossless(self):
         rng = np.random.default_rng(0)
@@ -276,3 +308,189 @@ class TestDeterminism:
         monkeypatch.setenv("PSEUDOHERM_TOL", "1e-6")
         code, out = run(capsys, "spectrum", osc_file, "--tol", "1e-9")
         assert json.loads(out)["tolerance"]["rtol"] == 1e-9
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_tol_flag_exits_two(self, capsys, osc_file, value):
+        code, out = run(capsys, "factor", osc_file, f"--tol={value}")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_tol_env_exits_two(self, capsys, monkeypatch, osc_file, value):
+        monkeypatch.setenv("PSEUDOHERM_TOL", value)
+        code, out = run(capsys, "factor", osc_file)
+        assert code == 2
+        assert out == ""
+
+    def test_parser_built_once(self, capsys, osc_file):
+        _parser.cache_clear()
+        _, first = run(capsys, "factor", osc_file)
+        # a usage error between two calls still exits 2 and leaves no state
+        with pytest.raises(SystemExit) as err:
+            main(["twolevel", "--a", "x", "--b", "1,0", "--c", "1,0"])
+        assert err.value.code == 2
+        assert main(["eta", osc_file, "--signs", "1"]) == 2
+        _, second = run(capsys, "factor", osc_file)
+        assert first == second
+        assert _parser.cache_info().misses == 1
+        assert _parser() is _parser()
+
+
+def report_of(*argv):
+    args = _parser().parse_args(list(argv))
+    return dispatch(args, _resolve_tolerance(args))
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.fixture
+def command_files(tmp_path):
+    """Matrix files with full-precision entries for every command."""
+    rng = np.random.default_rng(7)
+    spectrum = np.diag([-2.0, -0.5, 0.75, 1.5, 3.0])
+    files = {}
+    for name in ("h1", "h2"):
+        v = well_conditioned(5, rng)
+        files[name] = write_matrix(tmp_path / f"{name}.json", v @ spectrum @ np.linalg.inv(v))
+    files["d"] = write_matrix(tmp_path / "d.json", rng.standard_normal((3, 4)))
+    files["ep"] = write_matrix(tmp_path / "ep.json", positive_definite(4, rng))
+    files["em"] = write_matrix(tmp_path / "em.json", positive_definite(3, rng))
+    return files
+
+
+finite_pairs = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2
+)
+special_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf, -math.inf]
+)
+any_floats = st.floats() | special_floats
+leaves = st.none() | st.booleans() | st.integers() | any_floats | st.text()
+rectangular_entries = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(finite_pairs, min_size=width, max_size=width), min_size=1, max_size=4
+    )
+)
+odd_entries = st.one_of(
+    st.just([]),
+    st.just([[]]),
+    leaves,
+    st.lists(st.lists(st.lists(any_floats, min_size=2, max_size=2), max_size=3), max_size=3),
+    st.lists(
+        st.lists(st.lists(st.integers(), min_size=2, max_size=2), min_size=1), min_size=1
+    ),
+    st.lists(st.lists(st.lists(any_floats, max_size=3), min_size=1), min_size=1),
+)
+payloads = st.fixed_dictionaries(
+    {
+        "rows": st.integers(0, 4),
+        "cols": st.integers(0, 4),
+        "entries": rectangular_entries | odd_entries,
+    }
+)
+report_like = st.recursive(
+    leaves | payloads,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | st.just("entries"), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestEmitReport:
+    """The default JSON is exactly json.dumps(report, sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "h1"),
+            ("eta", "h1"),
+            ("eta", "h1", "--signs=-1,1,1,-1,1"),
+            ("factor", "h1"),
+            ("intertwine", "h1", "h2"),
+            ("psusy", "d", "--eta-plus", "ep", "--eta-minus", "em"),
+            ("witten", "d", "--eta-plus", "ep", "--eta-minus", "em"),
+            ("twolevel", "--a", "0.3,0", "--b", "1.7,0", "--c=-4.1,0"),
+            ("demo", "oscillator", "--omega", "2.5"),
+            ("demo", "spin", "--omega", "0.7"),
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]),
+    )
+    def test_every_command(self, command_files, argv):
+        report = report_of(*(command_files.get(a, a) for a in argv))
+        assert report["passed"] is True
+        assert emit_report(report) == dumps(report)
+
+    def test_error_report(self):
+        failure = {
+            "command": "spectrum",
+            "error": {
+                "type": "NonDiagonalizable",
+                "message": 'tab\t "quote" \u00e9 \U0001d53c',
+            },
+            "passed": False,
+        }
+        assert emit_report(failure) == dumps(failure)
+
+    def test_matrix_entries_take_the_row_templates(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        m[0, 0] = -0.0
+        entries = matrix_payload(m)["entries"]
+        assert _entries_json(entries, "\n    ") == dumps(entries).replace("\n", "\n    ")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[], [[]], [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]], [[[1, 2]]], [[[1.0, math.nan]]],
+         [[[-math.inf, 0.0]]], [[[1.0, 2.0, 3.0]]], [[(1.0, 2.0)]], "entries"],
+        ids=[
+            "empty", "empty_row", "ragged", "int", "nan", "inf", "triple", "tuple", "string"
+        ],
+    )
+    def test_other_entries_take_the_generic_path(self, entries):
+        assert _entries_json(entries, "\n") is None
+        report = {"l": {"rows": 1, "cols": 1, "entries": entries}}
+        assert emit_report(report) == dumps(report)
+
+    def test_non_string_keys(self):
+        report = {
+            "result": {2: "a", 1.5: {"entries": [[[1.0, 2.0]]]}, -1: [{3: None, False: 1}]}
+        }
+        assert emit_report(report) == dumps(report)
+        with pytest.raises(TypeError):
+            emit_report({"result": {"x": 1, 2: 3}})
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_like)
+    def test_matches_json_dumps(self, value):
+        assert emit_report(value) == dumps(value)
+
+
+class TestPayloads:
+    """Array-built payloads equal the per-entry complex_pair construction."""
+
+    def test_matrix_payload(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        m[1, 2] = complex(-0.0, -0.0)
+        m[2, 0] = complex(0.0, -0.0)
+        payload = matrix_payload(m)
+        assert payload["rows"] == 4 and payload["cols"] == 3
+        old = [[complex_pair(z) for z in row] for row in m]
+        assert dumps(payload["entries"]) == dumps(old)
+        assert all(type(x) is float for row in payload["entries"] for p in row for x in p)
+
+    def test_vector_payload(self):
+        v = np.array([1.5 - 0.0j, complex(-0.0, 2.0), 5e-324j, -3.0])
+        payload = vector_payload(v)
+        assert dumps(payload) == dumps([complex_pair(z) for z in v])
+        assert all(type(x) is float for p in payload for x in p)
+
+    def test_real_and_scalar_inputs(self):
+        assert matrix_payload(np.array([[1, -2]])) == {
+            "rows": 1, "cols": 2, "entries": [[[1.0, 0.0], [-2.0, 0.0]]]
+        }
+        assert matrix_payload(3.0)["entries"] == [[[3.0, 0.0]]]
+        assert vector_payload(np.eye(2)) == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

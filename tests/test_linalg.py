@@ -27,6 +27,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(**bad)
 
+    @pytest.mark.parametrize("field", ["rtol", "atol", "cond_max"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError):
+            Tolerance(**{field: value})
+
 
 class TestAsMatrix:
     def test_rejects_nan(self):
