@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -47,6 +48,8 @@ def _complex_flag(text: str) -> complex:
         raise ValueError(f"expected re or re,im - got {text!r}")
     re = float(parts[0])
     im = float(parts[1]) if len(parts) == 2 else 0.0
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"expected finite numbers - got {text!r}")
     return complex(re, im)
 
 
@@ -357,8 +360,9 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
 
 def cmd_demo(args, tol: Tolerance) -> dict:
     report = _base_report("demo", {"which": args.which, "omega": args.omega}, tol)
-    if args.omega <= 0:
-        raise UsageError("--omega must be positive")
+    # omega^2 enters the closed forms; it must neither overflow nor vanish
+    if not (args.omega > 0 and 0 < args.omega * args.omega < math.inf):
+        raise UsageError("--omega must be positive, with a nonzero finite square")
     if args.which == "oscillator":
         demo = oscillator_demo(args.omega, tol)
         report["result"] = {

@@ -208,6 +208,9 @@ class TestPsusyWittenCommands:
         assert code == 0
         report = json.loads(out)
         assert all(c["passed"] for c in report["checks"])
+        assert [c["name"] for c in report["checks"]] == [
+            "susy_anticommutator", "intertwine_plus", "intertwine_minus"
+        ]
 
     def test_witten_full_rank_2x3(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
@@ -259,6 +262,14 @@ class TestTwoLevelCommand:
             main(["twolevel", "--a", "x", "--b", "1,0", "--c", "1,0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--a=nan,0", "--b=1,inf", "--c=-inf"])
+    def test_nonfinite_complex_flag_exits_two(self, capsys, flag):
+        argv = ["twolevel", "--a=0,0", "--b=1,0", "--c=-4,0", flag]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDemoCommand:
     def test_spin_golden(self, capsys):
@@ -280,6 +291,20 @@ class TestDemoCommand:
     def test_nonpositive_omega_exits_two(self, capsys):
         code = main(["demo", "oscillator", "--omega", "-1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "which,omega",
+        [
+            ("oscillator", "nan"),
+            ("spin", "inf"),
+            ("oscillator", "1e200"),  # omega^2 overflows
+            ("spin", "1e-200"),  # omega^2 underflows to 0
+        ],
+    )
+    def test_unusable_omega_exits_two(self, capsys, which, omega):
+        code, out = run(capsys, "demo", which, "--omega", omega)
+        assert code == 2
+        assert out == ""
 
 
 class TestDeterminism:

@@ -1,12 +1,16 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
 
+from pseudoherm.errors import NumericalFailure
 from pseudoherm.intertwine import canonical_factorization, self_factorization
+from pseudoherm.linalg import DEFAULT_TOLERANCE
 from pseudoherm.metric import EtaOperator
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import (
+    PseudoSusySystem,
     assemble,
     from_factorization,
     null_kernel_check,
@@ -69,14 +73,27 @@ class TestAssemble:
         assert np.allclose(psys.q[2:, :2], psys.d)
         assert np.allclose(psys.tau, np.diag([1, 1, -1, -1, -1]))
 
+    def test_stores_only_sector_matrices(self):
+        assert [f.name for f in fields(PseudoSusySystem)] == [
+            "d", "d_sharp", "eta_plus", "eta_minus", "h_plus", "h_minus"
+        ]
+
+    def test_structural_relations_exact_on_views(self):
+        rng = np.random.default_rng(11)
+        psys = random_susy_system(rng, rows=4, cols=3)
+        q, qs, tau, eta = psys.q, psys.q_sharp, psys.tau, psys.eta
+        for zero in (q @ q, qs @ qs, tau @ q + q @ tau, eta @ tau - tau @ eta):
+            assert zero.shape == (7, 7)
+            assert not np.any(zero)
+
 
 class TestVerifyAlgebra:
     def test_q_squared_exactly_zero(self):
         rng = np.random.default_rng(2)
         psys = random_susy_system(rng)
-        report = verify_algebra(psys)
-        assert report["q_squared"].value == 0.0
-        assert report["q_sharp_squared"].value == 0.0
+        q, q_sharp = psys.q, psys.q_sharp
+        assert not np.any(q @ q)
+        assert not np.any(q_sharp @ q_sharp)
 
     def test_oscillator_spin_residuals(self):
         osc = closed_form_system(TwoLevelParams.from_coefficients(0, 1j, -4j))
@@ -120,6 +137,79 @@ class TestVerifyAlgebra:
         assert report.passed
 
 
+def _indefinite_metric(n, rng):
+    """Hermitian invertible metric with both signs in its inertia."""
+    s = well_conditioned(n, rng)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return EtaOperator.from_matrix(s.conj().T @ np.diag(signs) @ s)
+
+
+def _dense_extended_reference(psys, generators, tol):
+    """(name, value, threshold) of every extended and hermitian_combo
+    relation, evaluated on dense (n+m)-sized block matrices."""
+    p, m = psys.dim_plus, psys.dim_minus
+
+    def blocks(plus, upper, lower, minus):
+        return np.block([[plus, upper], [lower, minus]])
+
+    zpp, zpm = np.zeros((p, p)), np.zeros((p, m))
+    zmp, zmm = np.zeros((m, p)), np.zeros((m, m))
+    h = blocks(psys.h_plus, zpm, zmp, psys.h_minus)
+    hscale = 1.0 + np.linalg.norm(h, 2)
+    qs = []
+    for g in generators:
+        g_sharp = psys.eta_plus.inverse @ g.conj().T @ psys.eta_minus.matrix
+        qs.append((blocks(zpp, zpm, g, zmm), blocks(zpp, g_sharp, zmp, zmm)))
+
+    def norm(x):
+        return np.linalg.norm(x, 2)
+
+    def anti(a, b):
+        return a @ b + b @ a
+
+    out = []
+    for (i, (qi, _)), (j, (_, qjs)) in product(enumerate(qs, 1), repeat=2):
+        target = 2.0 * h if i == j else 0.0
+        out.append((
+            f"extended[{i},{j}]",
+            norm(anti(qi, qjs) - target),
+            tol.rtol * (1.0 + norm(qi)) * (1.0 + norm(qjs)) * hscale,
+        ))
+    combos = [
+        ((qi + qis) / np.sqrt(2.0), (qi - qis) / (np.sqrt(2.0) * 1j))
+        for qi, qis in qs
+    ]
+    for i, a, j, b in product(range(len(qs)), (0, 1), range(len(qs)), (0, 1)):
+        qa, qb = combos[i][a], combos[j][b]
+        target = 2.0 * h if (i == j and a == b) else 0.0
+        out.append((
+            f"hermitian_combo[{i + 1}.{a + 1},{j + 1}.{b + 1}]",
+            norm(anti(qa, qb) - target),
+            tol.rtol * (1.0 + norm(qa)) * (1.0 + norm(qb)) * hscale,
+        ))
+    return out
+
+
+def _reference_cases():
+    rng = np.random.default_rng(12)
+    # rectangular D, indefinite metrics, three generators: D itself, i D
+    # (fails every cross relation) and a perturbed copy of D
+    d = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    psys = assemble(d, _indefinite_metric(2, rng), _indefinite_metric(3, rng))
+    yield psys, [psys.d, 1j * psys.d, psys.d + 1e-3 * rng.standard_normal((3, 2))]
+    # square D with two generators, D and its negative
+    d = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    psys = assemble(d, _indefinite_metric(4, rng), _indefinite_metric(4, rng))
+    yield psys, [psys.d, -psys.d]
+    # D = u w^H with u null for eta_minus and w null for eta_plus^-1, so
+    # D# D = D D# = 0 and every relation among D, i D and 2 D holds
+    eta_p = EtaOperator.from_matrix(np.diag([1.0, -1.0]))
+    eta_m = EtaOperator.from_matrix(np.diag([1.0, -1.0, 1.0]))
+    d = np.outer([1.0, 1.0, 0.0], [1.0, 1.0])
+    psys = assemble(d, eta_p, eta_m)
+    yield psys, [psys.d, 1j * psys.d, 2.0 * psys.d]
+
+
 def _rank_one(rows, cols, norm, rng):
     u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
@@ -133,43 +223,67 @@ def _entry(rows, cols, i, j, value):
 
 
 EPS = 1e-3
-P, M = slice(0, 3), slice(3, 5)  # plus and minus blocks of the 5 x 5 system
-# (field, block, perturbation, check, expected residual). D maps the 3-dim
+# (field, perturbation, check, expected residual). D maps the 3-dim
 # plus sector to the 2-dim minus sector with identity metrics, so
 # H+ = diag(0.5, 2, 0), H- = diag(0.5, 2) and every residual starts at 0.
 PLANTS = [
-    ("h_plus", None, _rank_one(3, 3, EPS, np.random.default_rng(0)),
+    ("h_plus", _rank_one(3, 3, EPS, np.random.default_rng(0)),
      "susy_anticommutator", 2 * EPS),
-    ("h_minus", None, _rank_one(2, 2, EPS, np.random.default_rng(1)),
+    ("h_minus", _rank_one(2, 2, EPS, np.random.default_rng(1)),
      "susy_anticommutator", 2 * EPS),
     # E H+ - H- E for E = eps e0 e1^T is eps (2 - 0.5) e0 e1^T
-    ("d", None, _entry(2, 3, 0, 1, EPS), "intertwine_plus", 1.5 * EPS),
-    ("d", None, _entry(2, 3, 0, 1, EPS), "hamiltonian_commutes", 1.5 * EPS),
-    ("d_sharp", None, _entry(3, 2, 1, 0, EPS), "intertwine_minus", 1.5 * EPS),
-    # an upper-right block E of Q gives Q^2 = diag(E D, D E); E = eps e2 e0^T
-    # has D E = 0 (e2 spans ker D) and E D = eps e2 e0^T, and likewise for Q#
-    ("q", (P, M), _entry(3, 2, 2, 0, EPS), "q_squared", EPS),
-    ("q_sharp", (M, P), _entry(2, 3, 0, 2, EPS), "q_sharp_squared", EPS),
-    ("q", (P, P), _rank_one(3, 3, EPS, np.random.default_rng(2)), "grading", 2 * EPS),
-    ("q", (M, M), _rank_one(2, 2, EPS, np.random.default_rng(3)), "grading", 2 * EPS),
-    ("eta", (P, M), _rank_one(3, 2, EPS, np.random.default_rng(4)), "eta_even", 2 * EPS),
+    ("d", _entry(2, 3, 0, 1, EPS), "intertwine_plus", 1.5 * EPS),
+    ("d_sharp", _entry(3, 2, 1, 0, EPS), "intertwine_minus", 1.5 * EPS),
 ]
+
+
+class TestExtendedAlgebraReference:
+    @pytest.mark.parametrize("case", range(3))
+    def test_sector_relations_match_dense_blocks(self, case):
+        psys, generators = list(_reference_cases())[case]
+        tol = DEFAULT_TOLERANCE
+        report = verify_algebra(psys, tol, generators=generators)
+        reference = _dense_extended_reference(psys, generators, tol)
+        extended = report.checks[3:]
+        assert [c.name for c in extended] == [r[0] for r in reference]
+        for check, (name, value, threshold) in zip(extended, reference):
+            assert check.threshold == pytest.approx(threshold, rel=1e-12), name
+            assert check.passed == (value <= threshold), name
+            assert abs(check.value - value) <= 1e-13 * threshold / tol.rtol, name
+        if case == 0:
+            assert not report.passed
+        if case == 2:
+            assert report.passed
+
+    def test_pipeline_builds_no_block_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an (n+m)-sized block matrix was built")
+
+        monkeypatch.setattr(PseudoSusySystem, "_blocks", refuse)
+        monkeypatch.setattr(np, "block", refuse)
+        rng = np.random.default_rng(13)
+        h = matrix_with_spectrum([0.0, 1.0, -1.0, 2 + 1j, 2 - 1j], rng)
+        psys = from_factorization(self_factorization(decompose(h)))
+        with pytest.raises(AssertionError):
+            psys.q
+        assert verify_algebra(psys).passed
+        assert verify_algebra(psys, generators=[psys.d, 1j * psys.d]).checks
+        assert witten_index(psys).delta == 0
 
 
 class TestVerifyAlgebraPerSector:
     @pytest.mark.parametrize(
-        "field,block,perturbation,name,expected",
+        "field,perturbation,name,expected",
         PLANTS,
-        ids=[f"{p[3]}-{p[0]}-{i}" for i, p in enumerate(PLANTS)],
+        ids=[f"{p[2]}-{p[0]}-{i}" for i, p in enumerate(PLANTS)],
     )
     def test_planted_perturbation_is_reported(
-        self, field, block, perturbation, name, expected
+        self, field, perturbation, name, expected
     ):
         d = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         psys = assemble(d, EtaOperator.identity(3), EtaOperator.identity(2))
         assert all(c.value == 0.0 for c in verify_algebra(psys).checks)
-        planted = getattr(psys, field).copy()
-        planted[block if block is not None else ...] += perturbation
+        planted = getattr(psys, field) + perturbation
         report = verify_algebra(replace(psys, **{field: planted}))
         assert report[name].value == pytest.approx(expected, rel=1e-9)
         assert not report[name].passed
@@ -231,6 +345,17 @@ class TestWittenIndex:
         assert wit.delta == 1
         assert wit.analytic_index_d == 1
         assert wit.non_null_kernels
+
+    @pytest.mark.parametrize("field", ["h_plus", "h_minus"])
+    def test_zero_modes_outside_the_kernels_raise(self, field):
+        # D = diag(0, 1) gives H+- = diag(0, 0.5); moving one sector's kernel
+        # to e2 makes D (or D#) map a zero mode onto a nonzero mode
+        psys = assemble(
+            np.diag([0.0, 1.0]), EtaOperator.identity(2), EtaOperator.identity(2)
+        )
+        broken = replace(psys, **{field: np.diag([1.0, 0.0]).astype(complex)})
+        with pytest.raises(NumericalFailure, match="residual 1.000e"):
+            witten_index(broken)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identities_on_random_systems(self, seed):
