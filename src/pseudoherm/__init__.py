@@ -60,12 +60,10 @@ from .spectral import (
 )
 from .susy import (
     AlgebraReport,
-    NullKernelStatus,
     PseudoSusySystem,
     WittenReport,
     assemble,
     from_factorization,
-    null_kernel_check,
     verify_algebra,
     witten_index,
 )

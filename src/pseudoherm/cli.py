@@ -360,11 +360,12 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
 
 def cmd_demo(args, tol: Tolerance) -> dict:
     report = _base_report("demo", {"which": args.which, "omega": args.omega}, tol)
-    # omega^2 enters the closed forms; it must neither overflow nor vanish
-    if not (args.omega > 0 and 0 < args.omega * args.omega < math.inf):
-        raise UsageError("--omega must be positive, with a nonzero finite square")
+    run = oscillator_demo if args.which == "oscillator" else spin_intertwine_demo
+    try:
+        demo = run(args.omega, tol)
+    except ValueError as exc:  # omega outside the demo's OMEGA_RANGE
+        raise UsageError(f"--omega: {exc}") from exc
     if args.which == "oscillator":
-        demo = oscillator_demo(args.omega, tol)
         report["result"] = {
             "hamiltonian": matrix_payload(demo.hamiltonian),
             "psi1": vector_payload(demo.psi1),
@@ -377,17 +378,14 @@ def cmd_demo(args, tol: Tolerance) -> dict:
             "l": matrix_payload(demo.intertwiner),
             "l_sharp": matrix_payload(demo.intertwiner_sharp),
         }
-        checks = demo.checks
     else:
-        demo = spin_intertwine_demo(args.omega, tol)
         report["result"] = {
             "oscillator_h": matrix_payload(demo.oscillator_h),
             "spin_h": matrix_payload(demo.spin_h),
             "l": matrix_payload(demo.intertwiner),
             "l_sharp": matrix_payload(demo.intertwiner_sharp),
         }
-        checks = demo.checks
-    report["checks"] = [check_payload(c) for c in checks]
+    report["checks"] = [check_payload(c) for c in demo.checks]
     return _finish(report)
 
 

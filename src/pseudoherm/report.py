@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +51,21 @@ def vector_payload(v: np.ndarray) -> list[list[float]]:
     return [[re, im] for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
-def _is_number(x) -> bool:
-    """JSON number test; bool is an int subclass but not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _all_of(items: list, kinds) -> bool:
+    """isinstance(item, kinds) for every item, bool excluded (it is an int
+    subclass but not a JSON number); one test per distinct type."""
+    return all(
+        issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items))
+    )
 
 
 def matrix_from_payload(payload) -> np.ndarray:
     """Strict inverse of `matrix_payload`; raises UsageError on bad shape.
 
     Dimensions must be JSON integers and entries [re, im] pairs of JSON
-    numbers; strings, booleans and fractional dimensions are rejected.
+    numbers; strings, booleans and fractional dimensions are rejected. The
+    numbers are converted in one array and viewed as complex, which keeps
+    every bit (signed zeros included).
     """
     if not isinstance(payload, dict):
         raise UsageError("matrix payload must be a JSON object")
@@ -68,30 +74,27 @@ def matrix_from_payload(payload) -> np.ndarray:
         entries = payload["entries"]
     except KeyError as exc:
         raise UsageError(f"matrix payload missing rows/cols/entries: {exc}") from exc
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rows, cols)):
+    if not _all_of([rows, cols], int):
         raise UsageError("matrix dimensions must be integers")
     if rows <= 0 or cols <= 0:
         raise UsageError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows:
         raise UsageError(f"expected {rows} rows of entries")
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise UsageError(f"row {i} does not have {cols} entries")
-        for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(_is_number(x) for x in pair)
-            ):
-                raise UsageError(f"entry ({i},{j}) is not a [re, im] pair")
-            try:
-                out[i, j] = complex(float(pair[0]), float(pair[1]))
-            except OverflowError as exc:
-                raise UsageError(f"entry ({i},{j}) is out of double range") from exc
-    if not np.all(np.isfinite(out)):
+    if not _all_of(entries, list) or set(map(len, entries)) != {cols}:
+        raise UsageError(f"every row must be a list of {cols} entries")
+    pairs = list(chain.from_iterable(entries))
+    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
+        raise UsageError("every entry must be a [re, im] pair")
+    numbers = list(chain.from_iterable(pairs))
+    if not _all_of(numbers, (int, float)):
+        raise UsageError("every entry must be a [re, im] pair of numbers")
+    try:
+        flat = np.array(numbers, dtype=float)
+    except OverflowError as exc:
+        raise UsageError(f"matrix entry out of double range: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
         raise UsageError("matrix entries must be finite")
-    return out
+    return flat.view(complex).reshape(rows, cols)
 
 
 def parse_matrix_file(path) -> np.ndarray:

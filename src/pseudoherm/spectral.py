@@ -10,6 +10,7 @@ linked when they exist with equal multiplicity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,6 @@ __all__ = [
     "SpectrumClass",
     "BiorthonormalityReport",
     "cluster_eigenvalues",
-    "build_clusters",
     "decompose",
     "classify_spectrum",
     "verify_biorthonormality",
@@ -145,23 +145,39 @@ class BiorthonormalityReport:
         return max(self.left_residual, self.right_residual) <= self.threshold
 
 
-@dataclass
-class _Group:
-    value: complex
-    members: list[int]
-    kind: str
-    partner_id: int | None = None  # transient id link, resolved after ordering
+def _near_pairs(values: np.ndarray, ctol: float) -> Iterator[tuple[int, int]]:
+    """Index pairs whose real parts lie within 2*ctol of each other.
+
+    |z - w| >= |Re z - Re w|, so these include every pair within ctol; the
+    doubled window absorbs the rounding of its bound Re z + 2*ctol.
+    """
+    by_re = np.argsort(values.real, kind="stable")
+    re = values.real[by_re]
+    stops = np.searchsorted(re, re + 2.0 * ctol, side="right").tolist()
+    by_re = by_re.tolist()
+    for a, stop in enumerate(stops):
+        for b in range(a + 1, stop):
+            yield by_re[a], by_re[b]
 
 
-def cluster_eigenvalues(values: np.ndarray, ctol: float) -> list[_Group]:
-    """Group eigenvalues within `ctol` (transitively) and order the groups.
+def cluster_eigenvalues(
+    values: np.ndarray, ctol: float
+) -> tuple[tuple[EigenCluster, ...], list[int]]:
+    """Cluster `values` within `ctol` (transitively) and lay them out as columns.
 
-    Order is deterministic: ascending real part, then ascending |imaginary|;
-    a PairLower group is placed immediately after its linked PairUpper.
+    A cluster's value is the mean of its members. Conjugate partners link
+    only at equal multiplicity: each PairUpper, in order of its first member,
+    takes the nearest free PairLower within ctol (the later one on a tie).
+    Every merge and link compares a scalar complex `abs` with ctol (numpy's
+    vectorised `abs` can differ in the last bit and flip a tie). Order is
+    deterministic: ascending real part, then ascending |imaginary|; a linked
+    PairLower sits right after its PairUpper. `order` is the permutation such
+    that values[order] runs through the clusters one by one, so eigenvector
+    columns reordered the same way line up with each cluster's `cols`.
     """
     values = np.asarray(values, dtype=complex)
-    n = values.size
-    parent = list(range(n))
+    z = values.tolist()
+    parent = list(range(len(z)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -169,98 +185,54 @@ def cluster_eigenvalues(values: np.ndarray, ctol: float) -> list[_Group]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= ctol:
-                parent[find(i)] = find(j)
-
+    for i, j in _near_pairs(values, ctol):
+        if abs(z[i] - z[j]) <= ctol:
+            parent[find(i)] = find(j)
     by_root: dict[int, list[int]] = {}
-    for i in range(n):
+    for i in range(len(z)):
         by_root.setdefault(find(i), []).append(i)
+    members = list(by_root.values())  # ascending indices, by first member
+    means = [complex(values[m].mean()) for m in members]
+    kinds = [
+        KIND_REAL if abs(v.imag) <= ctol else KIND_UPPER if v.imag > 0 else KIND_LOWER
+        for v in means
+    ]
 
-    groups: list[_Group] = []
-    for members in by_root.values():
-        members.sort()
-        value = complex(np.mean(values[members]))
-        if abs(value.imag) <= ctol:
-            kind = KIND_REAL
-        elif value.imag > 0:
-            kind = KIND_UPPER
-        else:
-            kind = KIND_LOWER
-        groups.append(_Group(value=value, members=members, kind=kind))
-
-    # conjugate-partner linking: equal multiplicity required
-    uppers = [g for g in groups if g.kind == KIND_UPPER]
-    lowers = [g for g in groups if g.kind == KIND_LOWER]
-    taken: set[int] = set()
-    for g in uppers:
+    candidates: dict[int, list[int]] = {}
+    for up, low in _near_pairs(np.array(means), ctol):
+        if kinds[low] == KIND_UPPER:
+            up, low = low, up
+        same_size = len(members[up]) == len(members[low])
+        if (kinds[up], kinds[low]) == (KIND_UPPER, KIND_LOWER) and same_size:
+            candidates.setdefault(up, []).append(low)
+    partner: list[int | None] = [None] * len(members)
+    for up in sorted(candidates):
         best, best_dist = None, ctol
-        for k, h in enumerate(lowers):
-            if k in taken or len(h.members) != len(g.members):
-                continue
-            dist = abs(np.conj(g.value) - h.value)
-            if dist <= best_dist:
-                best, best_dist = k, dist
+        for low in sorted(candidates[up]):
+            dist = abs(means[up].conjugate() - means[low])
+            if partner[low] is None and dist <= best_dist:
+                best, best_dist = low, dist
         if best is not None:
-            taken.add(best)
-            g.partner_id = id(lowers[best])
-            lowers[best].partner_id = id(g)
+            partner[up], partner[best] = best, up
 
-    by_id = {id(g): g for g in groups}
-    ordered: list[_Group] = []
-    placed: set[int] = set()
-    units: list[tuple[tuple[float, float, float], list[_Group]]] = []
-    for g in groups:
-        if id(g) in placed:
-            continue
-        if g.kind == KIND_REAL:
-            units.append(((g.value.real, 0.0, 0.0), [g]))
-            placed.add(id(g))
-        elif g.kind == KIND_UPPER and g.partner_id is not None:
-            low = by_id[g.partner_id]
-            units.append(((g.value.real, g.value.imag, 0.0), [g, low]))
-            placed.update((id(g), id(low)))
-        elif g.kind == KIND_LOWER and g.partner_id is not None:
-            continue  # placed with its upper
-        else:
-            units.append(
-                ((g.value.real, abs(g.value.imag), -g.value.imag), [g])
+    units = []  # sort key, then the unit's first cluster as the tie-break
+    for g, v in enumerate(means):
+        if kinds[g] == KIND_REAL:
+            units.append((v.real, 0.0, 0.0, g))
+        elif partner[g] is None:
+            units.append((v.real, abs(v.imag), -v.imag, g))
+        elif kinds[g] == KIND_UPPER:
+            units.append((v.real, v.imag, 0.0, g))
+    clusters: list[EigenCluster] = []
+    order: list[int] = []
+    for *_, g in sorted(units):
+        unit = (g,) if partner[g] is None else (g, partner[g])
+        for k in unit:
+            link = None if partner[k] is None else len(clusters) + (1 if k == g else -1)
+            clusters.append(
+                EigenCluster(means[k], len(members[k]), kinds[k], len(order), link)
             )
-            placed.add(id(g))
-    units.sort(key=lambda u: u[0])
-    for _, seq in units:
-        ordered.extend(seq)
-    return ordered
-
-
-def build_clusters(
-    values: np.ndarray, ctol: float
-) -> tuple[tuple[EigenCluster, ...], list[int]]:
-    """Cluster `values` within `ctol` and lay the clusters out as columns.
-
-    Returns the clusters in deterministic order (see `cluster_eigenvalues`)
-    and the permutation `order` such that values[order] runs through them
-    cluster by cluster; eigenvector columns reordered the same way line up
-    with each cluster's `cols`.
-    """
-    ordered = cluster_eigenvalues(values, ctol)
-    position = {id(g): i for i, g in enumerate(ordered)}
-    clusters = []
-    start = 0
-    for g in ordered:
-        partner = position[g.partner_id] if g.partner_id is not None else None
-        clusters.append(
-            EigenCluster(
-                value=g.value,
-                multiplicity=len(g.members),
-                kind=g.kind,
-                start=start,
-                partner=partner,
-            )
-        )
-        start += len(g.members)
-    order = [i for g in ordered for i in g.members]
+            order += members[k]
     return tuple(clusters), order
 
 
@@ -312,7 +284,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     scale = spectral_norm(h)
     ctol = tol.cluster_tol(scale)
 
-    clusters, order = build_clusters(values, ctol)
+    clusters, order = cluster_eigenvalues(values, ctol)
     psi = vectors[:, order]
 
     psi_cond = cond(psi)

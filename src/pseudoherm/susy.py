@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +39,9 @@ __all__ = [
     "PseudoSusySystem",
     "AlgebraReport",
     "WittenReport",
-    "NullKernelStatus",
     "assemble",
     "verify_algebra",
     "witten_index",
-    "null_kernel_check",
     "from_factorization",
 ]
 
@@ -130,17 +128,6 @@ class AlgebraReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-class NullKernelStatus(NamedTuple):
-    """Per-sector flags: True when no zero mode is null for the metric."""
-
-    plus: bool
-    minus: bool
-
-    @property
-    def both(self) -> bool:
-        return self.plus and self.minus
 
 
 @dataclass(frozen=True)
@@ -284,23 +271,13 @@ def verify_algebra(
     return AlgebraReport(tuple(checks))
 
 
-def null_kernel_check(
-    psys: PseudoSusySystem, tol: Tolerance = DEFAULT_TOLERANCE
-) -> NullKernelStatus:
-    """Diagonalize each metric restricted to its sector's zero modes.
-
-    A sector counts as non-null when that restricted Hermitian form has no
-    zero eigenvalue (basis-independent), i.e. every diagonalizing kernel
-    vector v has |<v, eta v>| above atol * ||eta||. Empty kernels pass.
-    """
-    return NullKernelStatus(
-        plus=_non_null(kernel_basis(psys.h_plus, tol), psys.eta_plus, tol),
-        minus=_non_null(kernel_basis(psys.h_minus, tol), psys.eta_minus, tol),
-    )
-
-
 def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
-    """True when eta restricted to span(kernel) has no zero eigenvalue."""
+    """True when eta restricted to span(kernel) has no zero eigenvalue.
+
+    The test is basis-independent: every kernel vector v that diagonalizes
+    the restricted form has |<v, eta v>| above atol * ||eta||. An empty
+    kernel passes.
+    """
     if kernel.shape[1] == 0:
         return True
     restricted = kernel.conj().T @ eta.matrix @ kernel

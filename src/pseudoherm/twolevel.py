@@ -17,7 +17,7 @@ from .errors import DegenerateTwoLevel, NonRealDeterminant, NumericalFailure
 from .intertwine import Factorization, Intertwiner, match_spectra
 from .linalg import DEFAULT_TOLERANCE, ResidualCheck, Tolerance, as_matrix, spectral_norm
 from .metric import EtaOperator, SignAssignment
-from .spectral import BiorthonormalSystem, build_clusters
+from .spectral import BiorthonormalSystem, cluster_eigenvalues
 
 __all__ = [
     "TwoLevelParams",
@@ -32,7 +32,22 @@ __all__ = [
     "spin_intertwine_demo",
 ]
 
+# Frequencies at which every closed-form entry of a demo stays finite:
+# 1/omega^2 (the oscillator phi2 and metric prefactor 1/(4 omega^2), the spin
+# L) needs omega >= 2^-511, omega^4 (the oscillator metrics) omega <= 2^255
+# and omega^2.5 (the spin L#) omega <= 2^409. Powers of two keep the powers
+# of a bound exact, so rounding cannot carry an entry past the double range.
+OMEGA_RANGE = {"oscillator": (2.0**-511, 2.0**255), "spin": (2.0**-511, 2.0**409)}
+
 _ROT45 = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+def _frequency(omega: float, which: str) -> float:
+    w = float(omega)
+    lo, hi = OMEGA_RANGE[which]
+    if not lo <= w <= hi:
+        raise ValueError(f"omega must lie in [{lo:.6g}, {hi:.6g}], got {w!r}")
+    return w
 
 
 def _principal_root(z: complex) -> complex:
@@ -146,7 +161,7 @@ def closed_form_system(
     psi1, psi2, phi1, phi2 = _vectors(params)
     values = np.array([-params.e, params.e])
     ctol = tol.cluster_tol(params.scale)
-    clusters, order = build_clusters(values, ctol)
+    clusters, order = cluster_eigenvalues(values, ctol)
     psi_cols = [psi1, psi2]
     phi_cols = [phi1, phi2]
     return BiorthonormalSystem(
@@ -264,7 +279,9 @@ class OscillatorReport:
 def oscillator_demo(
     omega: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> OscillatorReport:
-    """Fixed reference matrices for the oscillator at frequency omega > 0.
+    """Fixed reference matrices for the oscillator at frequency omega.
+
+    omega must lie in OMEGA_RANGE["oscillator"] (ValueError otherwise).
 
     eta1, eta1_inv and eta2 are emitted exactly in their reference form;
     note the displayed pair satisfies eta1 @ eta1_inv = I/4, so eta1_inv is
@@ -272,9 +289,7 @@ def oscillator_demo(
     use only the intertwiner and its sharp, which close exactly:
     L# L = L L# = H.
     """
-    w = float(omega)
-    if w <= 0:
-        raise ValueError("omega must be positive")
+    w = _frequency(omega, "oscillator")
     h = oscillator_hamiltonian(w)
     psi1 = np.array([-1j, w])
     psi2 = np.array([w, -1j * w**2])
@@ -345,11 +360,10 @@ def spin_intertwine_demo(
     """Closed-form intertwiner realizing H_osc = L# L and H_spin = L L#.
 
     The spin side uses the standard basis (its metric is the identity); the
-    sharp is taken with the canonical oscillator metric.
+    sharp is taken with the canonical oscillator metric. omega must lie in
+    OMEGA_RANGE["spin"] (ValueError otherwise).
     """
-    w = float(omega)
-    if w <= 0:
-        raise ValueError("omega must be positive")
+    w = _frequency(omega, "spin")
     ho = oscillator_hamiltonian(w)
     hs = spin_hamiltonian(w)
     root = np.sqrt(w)

@@ -22,7 +22,7 @@ from pseudoherm.spectral import (
     decompose,
     verify_biorthonormality,
 )
-from pseudoherm.susy import assemble, from_factorization, null_kernel_check, verify_algebra, witten_index
+from pseudoherm.susy import assemble, from_factorization, verify_algebra, witten_index
 from pseudoherm.twolevel import (
     TwoLevelParams,
     closed_form_system,
@@ -261,8 +261,7 @@ def test_criterion_6_witten_index_suite(susy_corpus):
             failures.append(f"case {k}: delta != d0+ - d0-")
         if wit.delta != wit.betti_plus - wit.betti_minus:
             failures.append(f"case {k}: delta != b+ - b-")
-        nulls = null_kernel_check(psys)
-        if not nulls.both:
+        if not (wit.non_null_plus and wit.non_null_minus and wit.non_null_kernels):
             failures.append(f"case {k}: positive metrics flagged null")
         elif wit.delta != wit.ker_d - wit.ker_d_dagger:
             failures.append(f"case {k}: delta != ker D - ker D^H")

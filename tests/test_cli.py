@@ -123,8 +123,22 @@ class TestSpectrumCommand:
             '{"rows":2.5,"cols":1,"entries":[[[1,0]],[[1,0]]]}',
             '{"rows":1,"cols":1,"entries":[[[true,0]]]}',
             '{"rows":1,"cols":1,"entries":[[[1,false]]]}',
+            '{"rows":2,"cols":2,"entries":[[[1,0],[0,0]],[[1,0]]]}',
+            '{"rows":1,"cols":1,"entries":[[[1,0,0]]]}',
+            '{"rows":1,"cols":1,"entries":[[["1",0]]]}',
+            '{"rows":1,"cols":1,"entries":[[1]]}',
         ],
-        ids=["string_rows", "bool_cols", "fractional_rows", "bool_re", "bool_im"],
+        ids=[
+            "string_rows",
+            "bool_cols",
+            "fractional_rows",
+            "bool_re",
+            "bool_im",
+            "ragged_row",
+            "three_element_pair",
+            "string_entry",
+            "non_list_entry",
+        ],
     )
     def test_malformed_payload_exits_two(self, capsys, tmp_path, payload):
         p = tmp_path / "bad.json"
@@ -299,6 +313,16 @@ class TestDemoCommand:
             ("spin", "inf"),
             ("oscillator", "1e200"),  # omega^2 overflows
             ("spin", "1e-200"),  # omega^2 underflows to 0
+            ("oscillator", "1e-160"),  # 1/(4 omega^2) overflows
+            ("oscillator", "1e80"),  # omega^4 overflows
+            ("oscillator", "1e150"),
+            ("spin", "1e-160"),  # 1/omega^2 overflows
+            ("spin", "1e130"),  # omega^2.5 overflows
+            ("spin", "1e150"),
+            # the first doubles outside OMEGA_RANGE
+            ("oscillator", "1.4916681462400412e-154"),
+            ("oscillator", "5.789604461865811e+76"),
+            ("spin", "1.3221119375804975e+123"),
         ],
     )
     def test_unusable_omega_exits_two(self, capsys, which, omega):

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +18,14 @@ from pseudoherm.spectral import (
     TAG_CONJUGATE_PAIRED,
     TAG_MIXED,
     TAG_UNPAIRABLE,
-    build_clusters,
+    cluster_eigenvalues,
     classify_spectrum,
     decompose,
     reconstruct,
     verify_biorthonormality,
 )
 
+from clustering_reference import build_clusters as reference_clusters
 from support import (
     matrix_with_spectrum,
     random_paired_hamiltonian,
@@ -204,7 +209,7 @@ def svd_rule_rejects(h, tol=DEFAULT_TOLERANCE) -> bool:
     n = h.shape[0]
     values, vectors = np.linalg.eig(h)
     ctol = tol.cluster_tol(np.linalg.norm(h, 2))
-    clusters, order = build_clusters(values, ctol)
+    clusters, order = cluster_eigenvalues(values, ctol)
     if not np.linalg.cond(vectors[:, order]) <= tol.cond_max:
         return True
     for c in clusters:
@@ -273,3 +278,138 @@ class TestEigenvectorCertificate:
         with pytest.raises(NonDiagonalizable, match="geometric multiplicity"):
             decompose(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]))
         assert len(calls) >= 1
+
+
+def _exact(result):
+    """Clusters with bit-exact values (float hex keeps -0.0), and the order."""
+    clusters, order = result
+    return [
+        (c.value.real.hex(), c.value.imag.hex(), c.multiplicity, c.kind, c.start, c.partner)
+        for c in clusters
+    ], list(order)
+
+
+def assert_matches_reference(values, ctol):
+    result = cluster_eigenvalues(values, ctol)
+    assert _exact(result) == _exact(reference_clusters(values, ctol))
+    return result
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """bench/inputs.py, loaded by path (the benchmark directory is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+class TestClusterEigenvalues:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["pair_simple", "pair_degenerate"])
+    def test_matches_reference_on_benchmark_pairs(
+        self, monkeypatch, bench_inputs, workload, seed
+    ):
+        seen = []
+
+        def recorded(values, ctol):
+            seen.append((values, ctol))
+            return cluster_eigenvalues(values, ctol)
+
+        monkeypatch.setattr(spectral, "cluster_eigenvalues", recorded)
+        for drawn in bench_inputs.pair_inputs(workload, seed):
+            decompose(drawn.h)
+            values, ctol = seen.pop()
+            clusters, _ = assert_matches_reference(values, ctol)
+            drawn_mults = sorted(m for _, m in drawn.spectrum.clusters)
+            assert sorted(c.multiplicity for c in clusters) == drawn_mults
+
+    @pytest.mark.parametrize("k", [0.5, 0.99, 1.0, 1.01, 2.0])
+    def test_pairs_at_multiples_of_ctol(self, k):
+        ctol = 2.0**-10  # at k = 1 both distances are exactly ctol
+        step = k * ctol
+        # a real pair apart along the real axis, a conjugate pair of pairs
+        # apart along the imaginary axis
+        values = np.array(
+            [0.5, 0.5 + step, 2 + 1j, 2 + (1 + step) * 1j, 2 - 1j, 2 - (1 + step) * 1j]
+        )
+        clusters, _ = assert_matches_reference(values, ctol)
+        merged = k <= 1
+        assert [c.multiplicity for c in clusters] == ([2] * 3 if merged else [1] * 6)
+        assert all(c.partner is not None for c in clusters if c.kind != KIND_REAL)
+
+    def test_transitive_chain_merges(self):
+        ctol = 1e-3
+        # the ends are 1.8 ctol apart; the middle value joins them
+        values = np.array([1.8 * ctol, 0.0, 0.9 * ctol, 1.0])
+        clusters, order = assert_matches_reference(values, ctol)
+        assert [c.multiplicity for c in clusters] == [3, 1]
+        assert order == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["plus_first", "minus_first"])
+    def test_equidistant_lowers_link_the_later_one(self, flip):
+        ctol = 2.0**-10
+        d = 0.625 * ctol  # each lower is exactly d from the conjugate, 2d apart
+        lowers = [1 + d - 1j, 1 - d - 1j]
+        if flip:
+            lowers.reverse()
+        values = np.array([lowers[0], 1 + 1j, lowers[1]])
+        clusters, _ = assert_matches_reference(values, ctol)
+        upper = next(c for c in clusters if c.kind == KIND_UPPER)
+        assert clusters[upper.partner].value == lowers[1]
+        assert [c.partner is None for c in clusters].count(True) == 1
+
+    def test_a_lower_links_to_one_upper_only(self):
+        ctol = 2.0**-10
+        d = 0.625 * ctol  # each upper is exactly d from the lower's conjugate
+        values = np.array([1 + d + 1j, 1 - 1j, 1 - d + 1j])
+        clusters, _ = assert_matches_reference(values, ctol)
+        by_value = {c.value: c for c in clusters}
+        assert clusters[by_value[1 - 1j].partner].value == 1 + d + 1j
+        assert by_value[1 - d + 1j].partner is None
+
+    def test_unlinked_upper_precedes_its_lower(self):
+        # multiplicities 2 and 1 cannot link; equal |imaginary| puts the upper first
+        values = np.array([2 - 3j, 2 + 3j, 2 + 3j])
+        clusters, order = assert_matches_reference(values, 1e-8)
+        assert [(c.kind, c.partner) for c in clusters] == [
+            (KIND_UPPER, None),
+            (KIND_LOWER, None),
+        ]
+        assert order == [1, 2, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 3)), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_invariance_property(self, spec, seed):
+        # cluster centres at least 1 apart, members within 0.05 ctol per component
+        rng = np.random.default_rng(seed)
+        ctol = 1e-6
+        values = []
+        for (pair, mult), x in zip(spec, rng.permutation(np.arange(-10, 10))):
+            y = rng.uniform(0.5, 2.0) if pair else 0.0
+            for centre in [complex(x, y), complex(x, -y)] if pair else [complex(x)]:
+                jitter = rng.uniform(-0.05, 0.05, (mult, 2)) * ctol
+                values += [centre + complex(*j) for j in jitter]
+        values = np.array(values)
+        perm = rng.permutation(values.size)
+        base, base_order = assert_matches_reference(values, ctol)
+        shuffled, shuffled_order = assert_matches_reference(values[perm], ctol)
+
+        def layout(clusters):
+            return [(c.multiplicity, c.kind, c.partner) for c in clusters]
+
+        assert layout(shuffled) == layout(base)
+        assert all(c.partner is not None for c in base if c.kind != KIND_REAL)
+        for a, b in zip(base, shuffled):
+            assert abs(a.value - b.value) <= ctol
+            members = np.sort_complex(values[base_order][a.cols])
+            assert np.array_equal(np.sort_complex(values[perm][shuffled_order][b.cols]), members)
+

@@ -13,7 +13,6 @@ from pseudoherm.susy import (
     PseudoSusySystem,
     assemble,
     from_factorization,
-    null_kernel_check,
     verify_algebra,
     witten_index,
 )
@@ -290,19 +289,21 @@ class TestVerifyAlgebraPerSector:
 
 
 class TestNullKernelCheck:
+    """witten_index's per-sector null-kernel flags."""
+
     def test_identity_metric_never_null(self):
         rng = np.random.default_rng(5)
         d = engineered_rank_map(3, 3, 2, rng)
         psys = assemble(d, EtaOperator.identity(3), EtaOperator.identity(3))
-        status = null_kernel_check(psys)
-        assert status.plus and status.minus
+        wit = witten_index(psys)
+        assert wit.non_null_plus and wit.non_null_minus and wit.non_null_kernels
 
     def test_indefinite_nondegenerate_restriction_is_non_null(self):
         # kernel restriction of the swap metric has eigenvalues +/- 1
         eta = EtaOperator.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         psys = assemble(np.zeros((2, 2)), eta, eta)
-        status = null_kernel_check(psys)
-        assert status.plus and status.minus
+        wit = witten_index(psys)
+        assert wit.non_null_plus and wit.non_null_minus and wit.non_null_kernels
 
     def test_degenerate_restriction_is_null(self):
         # anti-diagonal metric restricted to ker H- = span(e2, e3) is singular
@@ -313,16 +314,15 @@ class TestNullKernelCheck:
         d = np.array([[0.0], [0.0], [1.0]])
         psys = assemble(d, eta_p, eta_m)
         assert np.allclose(psys.h_minus @ np.array([0, 1.0, 0]), 0.0)
-        status = null_kernel_check(psys)
-        assert not status.minus
+        wit = witten_index(psys)
+        assert not wit.non_null_minus and not wit.non_null_kernels
 
     def test_quadratic_form_signs(self):
         # one-dimensional kernel: the check reduces to |<v, eta v>| > 0
         eta_m = EtaOperator.from_matrix(np.diag([1.0, -1.0]))
         d = np.array([[1.0], [0.0]])
         psys = assemble(d, EtaOperator.identity(1), eta_m)
-        status = null_kernel_check(psys)
-        assert status.minus
+        assert witten_index(psys).non_null_minus
 
 
 class TestWittenIndex:
