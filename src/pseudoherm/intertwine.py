@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIsospectral, NotPseudoHermitian
-from .linalg import DEFAULT_TOLERANCE, ResidualCheck, Tolerance, as_matrix, spectral_norm
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    ResidualCheck,
+    Tolerance,
+    as_matrix,
+    frobenius_norm,
+    norm_lower_bound,
+)
 from .metric import EtaOperator, SignAssignment, canonical_eta, pseudo_adjoint
 from .spectral import (
     KIND_REAL,
@@ -83,7 +90,10 @@ class Intertwiner:
 
 @dataclass(eq=False)
 class Factorization:
-    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2."""
+    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2.
+
+    The residuals are Frobenius norms.
+    """
 
     intertwiner: Intertwiner
     eta1: EtaOperator
@@ -279,8 +289,8 @@ def canonical_factorization(
     lsharp = pseudo_adjoint(intertwiner.matrix, eta1, eta2)
 
     h1, h2 = reconstruct(sys1), reconstruct(sys2)
-    residual_h1 = spectral_norm(h1 - lsharp @ intertwiner.matrix)
-    residual_h2 = spectral_norm(h2 - intertwiner.matrix @ lsharp)
+    residual_h1 = frobenius_norm(h1 - lsharp @ intertwiner.matrix)
+    residual_h2 = frobenius_norm(h2 - intertwiner.matrix @ lsharp)
     threshold = (
         tol.rtol
         * (1.0 + max(sys1.scale, sys2.scale))
@@ -308,13 +318,15 @@ def self_factorization(
 def verify_intertwining(
     l, h1, h2, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> ResidualCheck:
-    """Residual ||L H1 - H2 L||."""
+    """Residual ||L H1 - H2 L||_F against
+    rtol * (1 + max(||H1||, ||H2||)) * (1 + ||L||), each norm a
+    `norm_lower_bound`."""
     l = as_matrix(l)
     h1 = as_matrix(h1, square=True)
     h2 = as_matrix(h2, square=True)
     if l.shape != (h2.shape[0], h1.shape[0]):
         raise ValueError("intertwiner shape does not link the two matrices")
-    value = spectral_norm(l @ h1 - h2 @ l)
-    scale = max(spectral_norm(h1), spectral_norm(h2))
-    threshold = tol.rtol * (1.0 + scale) * (1.0 + spectral_norm(l))
+    value = frobenius_norm(l @ h1 - h2 @ l)
+    scale = max(norm_lower_bound(h1), norm_lower_bound(h2))
+    threshold = tol.rtol * (1.0 + scale) * (1.0 + norm_lower_bound(l))
     return ResidualCheck("intertwining", value, threshold)

@@ -3,10 +3,19 @@
 Everything downstream (spectral decompositions, metric construction, kernel
 restrictions) funnels its rank/zero decisions through `Tolerance` so that a
 single policy governs the whole library.
+
+Norms have three roles. A residual value is a Frobenius norm
+(`frobenius_norm`), never smaller than the 2-norm, so a check can only be
+stricter than its 2-norm form. A threshold scale is `norm_lower_bound`, never
+larger than the 2-norm, so a threshold is never looser. Exact 2-norms
+(`spectral_norm`, `cond`) are taken only where a lower bound would move a
+decision's cutoff: the clustering scale ||H||, cond(psi) against `cond_max`,
+and ||eta|| in the null-kernel test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +29,8 @@ __all__ = [
     "ResidualCheck",
     "as_matrix",
     "spectral_norm",
+    "frobenius_norm",
+    "norm_lower_bound",
     "cond",
     "eig",
     "singular_values",
@@ -34,7 +45,9 @@ class Tolerance:
 
     rtol/atol feed the singular-value cutoff max(atol, max(m, n) * rtol * s_max)
     used for rank and kernel decisions; cond_max bounds the eigenvector-matrix
-    condition number accepted as "diagonalizable".
+    condition number accepted as "diagonalizable". Both s_max and the
+    clustering scale are exact 2-norms; the residual thresholds built from
+    rtol/atol elsewhere take their scales from `norm_lower_bound`.
     """
 
     rtol: float = 1e-8
@@ -59,7 +72,12 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True)
 class ResidualCheck:
-    """A residual paired with the threshold it was compared against."""
+    """A residual paired with the threshold it was compared against.
+
+    `value` is the Frobenius norm of the residual (for a pair of sector
+    blocks, of both together); the norms inside `threshold` are exact where
+    the pipeline already holds them and `norm_lower_bound`s otherwise.
+    """
 
     name: str
     value: float
@@ -83,9 +101,78 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
+    """Exact 2-norm (one SVD)."""
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+# Frobenius norms above this square without leaving the normal range.
+_TINY = 2.0**-450
+
+
+def frobenius_norm(m: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the 2-norm; the norm of residuals.
+
+    One dot product over the entries' real and imaginary parts; when the sum
+    of squares leaves the normal range it is recomputed on m / max|m_ij|, so
+    the result neither overflows nor underflows before the norm itself does.
+    """
+    v = np.ravel(m)
+    if v.dtype.kind == "c":
+        v = v.view(v.real.dtype)
+    with np.errstate(over="ignore"):
+        value = math.sqrt(float(v @ v))
+    if _TINY < value < math.inf:
+        return value
+    big = float(np.max(np.abs(v), initial=0.0))
+    if big == 0.0:
+        return 0.0
+    v = v / big
+    return big * math.sqrt(float(v @ v))
+
+
+# Below this smaller dimension one SVD is cheaper than the power iteration,
+# so the exact norm is returned there (2-core machine, one BLAS thread,
+# complex n x n: 76 us against 133 us at n = 16, 185 us against 140 us at
+# n = 32).
+_EXACT_BELOW = 32
+_POWER_STEPS = 8
+
+
+@functools.lru_cache(maxsize=16)
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed unit start vector of length n, so equal inputs give equal bits."""
+    x = np.random.default_rng(0).standard_normal(n).astype(complex)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
+
+
+def norm_lower_bound(m: np.ndarray) -> float:
+    """Lower bound on ||m||_2 for threshold scales: the largest ||m x|| / ||x||
+    over a power iteration on m^H m from a fixed start vector.
+
+    Exact (one SVD) when the smaller dimension is below _EXACT_BELOW, or when
+    ||m x|| overflows; the result is deterministic for a given input.
+    """
+    if min(m.shape) < _EXACT_BELOW:
+        return spectral_norm(m)
+    x = _start_vector(m.shape[1])
+    best = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_POWER_STEPS):
+            y = m @ x
+            size = frobenius_norm(y)
+            best = max(best, size / frobenius_norm(x))
+            if not 0.0 < size < math.inf:
+                break
+            z = ((y / size).conj() @ m).conj()  # m^H y / ||y||, no m^H formed
+            size = frobenius_norm(z)
+            if not 0.0 < size < math.inf:
+                break
+            x = z / size
+    return best if best < math.inf else spectral_norm(m)
 
 
 def cond(m: np.ndarray) -> float:

@@ -21,6 +21,8 @@ from .linalg import (
     ResidualCheck,
     Tolerance,
     as_matrix,
+    frobenius_norm,
+    norm_lower_bound,
     singular_values,
     spectral_norm,
 )
@@ -111,13 +113,8 @@ class EtaOperator:
 
     @cached_property
     def norm(self) -> float:
-        """||eta||_2."""
+        """||eta||_2, exact: it sets the null-kernel cutoff atol * ||eta||."""
         return spectral_norm(self.matrix)
-
-    @cached_property
-    def cond(self) -> float:
-        """||eta||_2 ||eta^-1||_2."""
-        return self.norm * spectral_norm(self.inverse)
 
     @classmethod
     def identity(cls, n: int) -> "EtaOperator":
@@ -126,14 +123,18 @@ class EtaOperator:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "EtaOperator":
-        """Validate an explicit metric matrix and invert it numerically."""
+        """Validate an explicit metric matrix and invert it numerically.
+
+        One SVD gives ||m||_2 for both tests; the Hermiticity residual is a
+        Frobenius norm and is tested first.
+        """
         m = as_matrix(m, square=True)
-        scale = spectral_norm(m)
-        herm = spectral_norm(m - m.conj().T)
+        s = singular_values(m)
+        scale = float(s[0]) if s.size else 0.0
+        herm = frobenius_norm(m - m.conj().T)
         if herm > max(tol.atol, tol.rtol * scale):
             raise InvalidEta(f"metric is not Hermitian (residual {herm:.3e})")
-        s = singular_values(m)
-        if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, float(s[0])):
+        if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, scale):
             raise InvalidEta("metric is numerically singular")
         eta = cls(matrix=m, inverse=np.linalg.inv(m))
         eta.norm = scale  # seeds the cached property with the value above
@@ -150,9 +151,9 @@ class AntilinearOperator:
         return self.linear_part @ np.conj(v)
 
     def commutation_residual(self, h: np.ndarray) -> float:
-        """||H S - S conj(H)||, zero when the map commutes with H."""
+        """||H S - S conj(H)||_F, zero when the map commutes with H."""
         s = self.linear_part
-        return spectral_norm(h @ s - s @ np.conj(h))
+        return frobenius_norm(h @ s - s @ np.conj(h))
 
 
 def pseudo_adjoint(
@@ -252,7 +253,7 @@ def eta_from_M(
         if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, float(s[0])):
             raise InvalidEta("singular block in metric assembly")
         if hermitian:
-            herm = spectral_norm(m - m.conj().T)
+            herm = frobenius_norm(m - m.conj().T)
             if herm > max(tol.atol, tol.rtol * float(s[0])):
                 raise InvalidEta(f"real-cluster block is not Hermitian ({herm:.3e})")
 
@@ -271,12 +272,19 @@ def eta_from_M(
 def verify_pseudo_hermiticity(
     h, eta: EtaOperator, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> ResidualCheck:
-    """Residual ||eta H eta^-1 - H^H|| against rtol*(1+||H||)*cond(eta)."""
+    """Residual ||eta H eta^-1 - H^H||_F against
+    rtol * (1 + ||H||) * ||eta|| * ||eta^-1||, each norm a `norm_lower_bound`.
+    """
     h = as_matrix(h, square=True)
     if h.shape[0] != eta.dim:
         raise ValueError("matrix and metric dimensions differ")
-    value = spectral_norm(eta.matrix @ h @ eta.inverse - h.conj().T)
-    threshold = tol.rtol * (1.0 + spectral_norm(h)) * eta.cond
+    value = frobenius_norm(eta.matrix @ h @ eta.inverse - h.conj().T)
+    threshold = (
+        tol.rtol
+        * (1.0 + norm_lower_bound(h))
+        * norm_lower_bound(eta.matrix)
+        * norm_lower_bound(eta.inverse)
+    )
     return ResidualCheck("pseudo_hermiticity", value, threshold)
 
 

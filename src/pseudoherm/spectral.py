@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     cond,
     eig,
+    frobenius_norm,
     rank,
     singular_values,
     spectral_norm,
@@ -134,7 +135,7 @@ class SpectrumClass:
 
 @dataclass(frozen=True)
 class BiorthonormalityReport:
-    """Residuals of phi^H psi = I and psi phi^H = I."""
+    """Frobenius residuals of phi^H psi = I and psi phi^H = I."""
 
     left_residual: float
     right_residual: float
@@ -349,8 +350,8 @@ def verify_biorthonormality(
     sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> BiorthonormalityReport:
     eye = np.eye(sys.dim)
-    left = spectral_norm(sys.phi.conj().T @ sys.psi - eye)
-    right = spectral_norm(sys.psi @ sys.phi.conj().T - eye)
+    left = frobenius_norm(sys.phi.conj().T @ sys.psi - eye)
+    right = frobenius_norm(sys.psi @ sys.phi.conj().T - eye)
     return BiorthonormalityReport(
         left_residual=left,
         right_residual=right,

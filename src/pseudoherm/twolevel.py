@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import DegenerateTwoLevel, NonRealDeterminant, NumericalFailure
 from .intertwine import Factorization, Intertwiner, match_spectra
-from .linalg import DEFAULT_TOLERANCE, ResidualCheck, Tolerance, as_matrix, spectral_norm
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    ResidualCheck,
+    Tolerance,
+    as_matrix,
+    frobenius_norm,
+    norm_lower_bound,
+    spectral_norm,
+)
 from .metric import EtaOperator, SignAssignment
 from .spectral import BiorthonormalSystem, cluster_eigenvalues
 
@@ -230,9 +238,9 @@ def two_level_factorization(
     pairing = match_spectra(sys, sys, tol)
     intertwiner = Intertwiner(matrix=l, alpha=alpha, pairing=pairing)
     h = params.source_matrix()
-    residual_h1 = spectral_norm(h - lsharp @ l)
-    residual_h2 = spectral_norm(h - l @ lsharp)
-    threshold = tol.rtol * (1.0 + spectral_norm(h)) * sys.psi_cond**2
+    residual_h1 = frobenius_norm(h - lsharp @ l)
+    residual_h2 = frobenius_norm(h - l @ lsharp)
+    threshold = tol.rtol * (1.0 + norm_lower_bound(h)) * sys.psi_cond**2
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,
@@ -317,10 +325,10 @@ def oscillator_demo(
     root = np.sqrt(w)
     l = root * np.eye(2, dtype=complex)
     lsharp = h / root
-    thr = tol.atol * (1.0 + spectral_norm(h))
+    thr = tol.atol * (1.0 + norm_lower_bound(h))
     checks = (
-        ResidualCheck("lsharp_l", spectral_norm(lsharp @ l - h), thr),
-        ResidualCheck("l_lsharp", spectral_norm(l @ lsharp - h), thr),
+        ResidualCheck("lsharp_l", frobenius_norm(lsharp @ l - h), thr),
+        ResidualCheck("l_lsharp", frobenius_norm(l @ lsharp - h), thr),
     )
     return OscillatorReport(
         omega=w,
@@ -369,11 +377,11 @@ def spin_intertwine_demo(
     root = np.sqrt(w)
     l = (root / 2.0) * np.array([[1.0 / w, 1j / w**2], [1j, 1.0 / w]])
     lsharp = root * np.array([[w, 1j], [-1j * w**2, -w]])
-    scale = max(spectral_norm(ho), spectral_norm(hs))
+    scale = max(norm_lower_bound(ho), norm_lower_bound(hs))
     thr = tol.rtol * (1.0 + scale)
     checks = (
-        ResidualCheck("lsharp_l", spectral_norm(lsharp @ l - ho), thr),
-        ResidualCheck("l_lsharp", spectral_norm(l @ lsharp - hs), thr),
+        ResidualCheck("lsharp_l", frobenius_norm(lsharp @ l - ho), thr),
+        ResidualCheck("l_lsharp", frobenius_norm(l @ lsharp - hs), thr),
     )
     return SpinIntertwineReport(
         omega=w,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,25 +449,29 @@ report_like = st.recursive(
 )
 
 
+# one argument set or more per command, over the files of `command_files`
+COMMAND_ARGVS = [
+    ("spectrum", "h1"),
+    ("eta", "h1"),
+    ("eta", "h1", "--signs=-1,1,1,-1,1"),
+    ("factor", "h1"),
+    ("intertwine", "h1", "h2"),
+    ("psusy", "d", "--eta-plus", "ep", "--eta-minus", "em"),
+    ("witten", "d", "--eta-plus", "ep", "--eta-minus", "em"),
+    ("twolevel", "--a", "0.3,0", "--b", "1.7,0", "--c=-4.1,0"),
+    ("demo", "oscillator", "--omega", "2.5"),
+    ("demo", "spin", "--omega", "0.7"),
+]
+
+
+def argv_id(argv):
+    return "-".join(a.strip("-") for a in argv[:2])
+
+
 class TestEmitReport:
     """The default JSON is exactly json.dumps(report, sort_keys=True, indent=2)."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("spectrum", "h1"),
-            ("eta", "h1"),
-            ("eta", "h1", "--signs=-1,1,1,-1,1"),
-            ("factor", "h1"),
-            ("intertwine", "h1", "h2"),
-            ("psusy", "d", "--eta-plus", "ep", "--eta-minus", "em"),
-            ("witten", "d", "--eta-plus", "ep", "--eta-minus", "em"),
-            ("twolevel", "--a", "0.3,0", "--b", "1.7,0", "--c=-4.1,0"),
-            ("demo", "oscillator", "--omega", "2.5"),
-            ("demo", "spin", "--omega", "0.7"),
-        ],
-        ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]),
-    )
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=argv_id)
     def test_every_command(self, command_files, argv):
         report = report_of(*(command_files.get(a, a) for a in argv))
         assert report["passed"] is True
@@ -515,6 +520,36 @@ class TestEmitReport:
     @given(report_like)
     def test_matches_json_dumps(self, value):
         assert emit_report(value) == dumps(value)
+
+
+NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
+class TestFiniteReports:
+    """No exit-0 report holds a NaN or infinite number."""
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+    @pytest.mark.parametrize(
+        "argv",
+        COMMAND_ARGVS
+        + [("factor", "h_osc"), ("intertwine", "h_osc", "h_spin"), ("witten", "d")],
+        ids=argv_id,
+    )
+    def test_every_number_is_finite(
+        self, capsys, command_files, osc_file, spin_file, argv, pretty
+    ):
+        files = dict(command_files, h_osc=osc_file, h_spin=spin_file)
+        flags = ["--pretty"] if pretty else []
+        code, out = run(capsys, *(files.get(a, a) for a in argv), *flags)
+        assert code == 0
+        if pretty:
+            assert NON_FINITE_TOKEN.search(out) is None
+        else:
+            json.loads(out, parse_constant=_refuse_constant)
 
 
 class TestPayloads:

@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoherm import linalg
 from pseudoherm.linalg import (
+    _EXACT_BELOW,
     DEFAULT_TOLERANCE,
     Tolerance,
     as_matrix,
     eig,
+    frobenius_norm,
     kernel_basis,
+    norm_lower_bound,
     rank,
+    spectral_norm,
 )
 
 from support import well_conditioned
@@ -150,3 +155,71 @@ class TestRank:
         b = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         mat = a @ b
         assert rank(mat) + kernel_basis(mat).shape[1] == n
+
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("exponent", [-300, -200, -160, 0, 160, 200, 300])
+    def test_no_overflow_or_underflow_of_the_squares(self, exponent):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        value = frobenius_norm(base * 10.0**exponent)
+        assert value == pytest.approx(np.linalg.norm(base) * 10.0**exponent, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 3)])
+    def test_zero_and_empty(self, shape):
+        assert frobenius_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+    def test_real_and_strided_input(self):
+        m = np.arange(12.0).reshape(3, 4)
+        assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m), rel=1e-15)
+        assert frobenius_norm((1j * m).T) == pytest.approx(np.linalg.norm(m), rel=1e-15)
+
+
+class TestNormLowerBound:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["dense", "rank_one", "zero", "empty"]),
+        m=st.integers(1, 70),
+        n=st.integers(1, 70),
+        exponent=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounded_by_the_two_norm_and_deterministic(self, kind, m, n, exponent, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "empty":
+            m = 0 if seed % 2 else m
+            n = n if seed % 2 else 0
+        if kind == "rank_one":
+            u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a = np.outer(u, v.conj())
+        elif kind == "dense":
+            a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        else:
+            a = np.zeros((m, n), dtype=complex)
+        a *= 10.0**exponent
+        bound = norm_lower_bound(a)
+        exact = spectral_norm(a)
+        assert 0.0 <= bound <= exact * (1.0 + 4 * max(m, n, 1) * EPS)
+        assert norm_lower_bound(a.copy()).hex() == bound.hex()
+        if min(a.shape) < _EXACT_BELOW:
+            assert bound == exact
+        if kind in ("zero", "empty"):
+            assert bound == 0.0
+
+    def test_iteration_runs_from_the_cutoff(self, monkeypatch):
+        # from a smaller dimension of _EXACT_BELOW on, no exact norm is taken
+        rng = np.random.default_rng(0)
+        shape = (_EXACT_BELOW, 40)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        exact = spectral_norm(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact norm was taken")
+
+        monkeypatch.setattr(linalg, "spectral_norm", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert 0.8 * exact <= norm_lower_bound(a) <= exact

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.errors import InvalidEta, NotPseudoHermitian, RealSpectrumRequired
+from pseudoherm.linalg import singular_values
 from pseudoherm.metric import (
     EtaOperator,
     SignAssignment,
@@ -223,7 +224,8 @@ class TestVerifyPseudoHermiticity:
     def test_nilpotent_with_identity_fails(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         check = verify_pseudo_hermiticity(h, EtaOperator.identity(2))
-        assert check.value == pytest.approx(1.0)
+        # Frobenius norm of H - H^H = [[0, 1], [-1, 0]]
+        assert check.value == pytest.approx(np.sqrt(2.0))
         assert not check.passed
 
 
@@ -241,6 +243,27 @@ class TestEtaOperator:
         g = positive_definite(4, rng)
         eta = EtaOperator.from_matrix(g)
         assert np.allclose(eta.matrix @ eta.inverse, np.eye(4), atol=1e-12)
+
+    def test_from_matrix_non_hermitian_before_singular(self):
+        # both non-Hermitian and singular: the Hermiticity test decides first
+        with pytest.raises(InvalidEta, match="not Hermitian"):
+            EtaOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_from_matrix_takes_one_svd(self, monkeypatch):
+        import pseudoherm.metric as metric
+
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return singular_values(m)
+
+        monkeypatch.setattr(metric, "singular_values", counted)
+        monkeypatch.setattr(metric, "spectral_norm", None)
+        g = positive_definite(4, np.random.default_rng(9))
+        eta = EtaOperator.from_matrix(g)
+        assert calls == [(4, 4)]
+        assert eta.norm == pytest.approx(np.linalg.norm(g, 2), rel=1e-14)
 
 
 class TestAntilinearSymmetry:

@@ -6,7 +6,7 @@ import pytest
 
 from pseudoherm.errors import NumericalFailure
 from pseudoherm.intertwine import canonical_factorization, self_factorization
-from pseudoherm.linalg import DEFAULT_TOLERANCE
+from pseudoherm.linalg import DEFAULT_TOLERANCE, norm_lower_bound
 from pseudoherm.metric import EtaOperator
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import (
@@ -115,9 +115,7 @@ class TestVerifyAlgebra:
         report = verify_algebra(psys, generators=[psys.d, 1j * psys.d])
         cross = report["extended[1,2]"]
         assert not cross.passed
-        assert cross.value == pytest.approx(
-            2.0 * np.linalg.norm(psys.h, 2), rel=1e-6
-        )
+        assert cross.value == pytest.approx(2.0 * np.linalg.norm(psys.h), rel=1e-6)
 
     def test_single_generator_extended_algebra_passes(self):
         rng = np.random.default_rng(4)
@@ -145,23 +143,27 @@ def _indefinite_metric(n, rng):
 
 def _dense_extended_reference(psys, generators, tol):
     """(name, value, threshold) of every extended and hermitian_combo
-    relation, evaluated on dense (n+m)-sized block matrices."""
+    relation, evaluated on dense (n+m)-sized block matrices: values are
+    Frobenius norms, threshold scales `norm_lower_bound`s."""
     p, m = psys.dim_plus, psys.dim_minus
 
     def blocks(plus, upper, lower, minus):
         return np.block([[plus, upper], [lower, minus]])
 
+    def scale(x):
+        return 1.0 + norm_lower_bound(x)
+
     zpp, zpm = np.zeros((p, p)), np.zeros((p, m))
     zmp, zmm = np.zeros((m, p)), np.zeros((m, m))
     h = blocks(psys.h_plus, zpm, zmp, psys.h_minus)
-    hscale = 1.0 + np.linalg.norm(h, 2)
+    hscale = scale(h)
     qs = []
     for g in generators:
         g_sharp = psys.eta_plus.inverse @ g.conj().T @ psys.eta_minus.matrix
         qs.append((blocks(zpp, zpm, g, zmm), blocks(zpp, g_sharp, zmp, zmm)))
 
     def norm(x):
-        return np.linalg.norm(x, 2)
+        return np.linalg.norm(x)
 
     def anti(a, b):
         return a @ b + b @ a
@@ -172,7 +174,7 @@ def _dense_extended_reference(psys, generators, tol):
         out.append((
             f"extended[{i},{j}]",
             norm(anti(qi, qjs) - target),
-            tol.rtol * (1.0 + norm(qi)) * (1.0 + norm(qjs)) * hscale,
+            tol.rtol * scale(qi) * scale(qjs) * hscale,
         ))
     combos = [
         ((qi + qis) / np.sqrt(2.0), (qi - qis) / (np.sqrt(2.0) * 1j))
@@ -184,7 +186,7 @@ def _dense_extended_reference(psys, generators, tol):
         out.append((
             f"hermitian_combo[{i + 1}.{a + 1},{j + 1}.{b + 1}]",
             norm(anti(qa, qb) - target),
-            tol.rtol * (1.0 + norm(qa)) * (1.0 + norm(qb)) * hscale,
+            tol.rtol * scale(qa) * scale(qb) * hscale,
         ))
     return out
 
