@@ -11,12 +11,14 @@ intertwiner to a factorization H1 = L# L, H2 = L L#.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotIsospectral, NotPseudoHermitian
 from .linalg import (
+    _EXACT_BELOW,
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
@@ -125,8 +127,11 @@ def match_spectra(
 ) -> SpectralPairing:
     """Match clusters of two systems by nearest eigenvalue.
 
-    Raises NotIsospectral when a nonzero cluster is unmatched or multiplicities
-    of matched nonzero clusters differ. Zero clusters are exempt.
+    Each nonzero cluster of the first system, in order, takes the nearest
+    unused nonzero cluster of the second within the shared tolerance (the
+    later one on a tie). Raises NotIsospectral when a nonzero cluster is
+    unmatched or multiplicities of matched nonzero clusters differ. Zero
+    clusters are exempt.
     """
     mtol = max(sys1.cluster_tol, sys2.cluster_tol)
 
@@ -140,12 +145,21 @@ def match_spectra(
     nonzero1 = [i for i in range(len(sys1.clusters)) if i != zero1]
     nonzero2 = [i for i in range(len(sys2.clusters)) if i != zero2]
 
+    # |z - w| >= |Re z - Re w|, so every match within mtol lies in a window
+    # over the sorted real parts; the doubled width absorbs the rounding of
+    # the window's bounds, as in `spectral.cluster_eigenvalues`
+    by_re = sorted(nonzero2, key=lambda j: sys2.clusters[j].value.real)
+    re2 = [sys2.clusters[j].value.real for j in by_re]
+
     matches: list[MatchedCluster] = []
     used: set[int] = set()
     for i in nonzero1:
         c1 = sys1.clusters[i]
         best, best_dist = None, mtol
-        for j in nonzero2:
+        start = bisect_left(re2, c1.value.real - 2.0 * mtol)
+        stop = bisect_right(re2, c1.value.real + 2.0 * mtol)
+        # ascending index, as in a scan over all clusters: ties keep the later
+        for j in sorted(by_re[start:stop]):
             if j in used:
                 continue
             dist = abs(c1.value - sys2.clusters[j].value)
@@ -265,6 +279,18 @@ def _canonical_signs(sys: BiorthonormalSystem, negative_flip: bool) -> SignAssig
     return SignAssignment(tuple(per))
 
 
+def _cond_lower_bound(sys: BiorthonormalSystem) -> float:
+    """`norm_lower_bound`(psi) * `norm_lower_bound`(phi), at most
+    cond(psi) = ||psi||_2 ||psi^-1||_2 since phi = (psi^-1)^H.
+
+    Below _EXACT_BELOW both bounds are exact, so this is the exact
+    `psi_cond`, which `decompose` already holds at those sizes.
+    """
+    if sys.dim < _EXACT_BELOW:
+        return sys.psi_cond
+    return norm_lower_bound(sys.psi) * norm_lower_bound(sys.phi)
+
+
 def canonical_factorization(
     sys1: BiorthonormalSystem,
     sys2: BiorthonormalSystem,
@@ -274,7 +300,10 @@ def canonical_factorization(
 
     Sign convention: -1 on negative real clusters of the first system, +1
     everywhere else; coefficients sqrt(|E|) / E / 1 on real / upper / lower
-    clusters and 0 on the zero cluster.
+    clusters and 0 on the zero cluster. The residuals' threshold is
+    rtol * (1 + max ||H||) * cond(psi1) * cond(psi2), each condition number
+    taken as the lower bound `_cond_lower_bound`, so it is never looser than
+    with exact ones.
     """
     for sys in (sys1, sys2):
         if classify_spectrum(sys, tol).tag == TAG_UNPAIRABLE:
@@ -291,12 +320,9 @@ def canonical_factorization(
     h1, h2 = reconstruct(sys1), reconstruct(sys2)
     residual_h1 = frobenius_norm(h1 - lsharp @ intertwiner.matrix)
     residual_h2 = frobenius_norm(h2 - intertwiner.matrix @ lsharp)
-    threshold = (
-        tol.rtol
-        * (1.0 + max(sys1.scale, sys2.scale))
-        * sys1.psi_cond
-        * sys2.psi_cond
-    )
+    cond1 = _cond_lower_bound(sys1)
+    cond2 = cond1 if sys2 is sys1 else _cond_lower_bound(sys2)
+    threshold = tol.rtol * (1.0 + max(sys1.scale, sys2.scale)) * cond1 * cond2
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,

@@ -7,10 +7,15 @@ single policy governs the whole library.
 Norms have three roles. A residual value is a Frobenius norm
 (`frobenius_norm`), never smaller than the 2-norm, so a check can only be
 stricter than its 2-norm form. A threshold scale is `norm_lower_bound`, never
-larger than the 2-norm, so a threshold is never looser. Exact 2-norms
-(`spectral_norm`, `cond`) are taken only where a lower bound would move a
-decision's cutoff: the clustering scale ||H||, cond(psi) against `cond_max`,
-and ||eta|| in the null-kernel test.
+larger than the 2-norm, so a threshold is never looser. The clustering scale
+||H|| is an exact 2-norm (`spectral_norm`): a bound would change which
+clusters merge. Two more decisions compare against exact norms, cond(psi)
+against `cond_max` and the null-kernel cutoff atol * ||eta||, and an empty
+kernel is an SVD's decision too; each first tries a one-sided certificate from
+matrices already held (`certified_inverse` bounds the smallest singular value
+from below, ||eta||_F bounds ||eta||_2 from above), and the exact SVD
+(`cond`, `spectral_norm`, `kernel_basis`) runs only when the certificate
+cannot decide, so every outcome is the one the SVD gives.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +38,7 @@ __all__ = [
     "frobenius_norm",
     "norm_lower_bound",
     "cond",
+    "certified_inverse",
     "eig",
     "singular_values",
     "rank",
@@ -135,7 +142,7 @@ def frobenius_norm(m: np.ndarray) -> float:
 # Below this smaller dimension one SVD is cheaper than the power iteration,
 # so the exact norm is returned there (2-core machine, one BLAS thread,
 # complex n x n: 76 us against 133 us at n = 16, 185 us against 140 us at
-# n = 32).
+# n = 32); `certified_inverse` is not tried below it either.
 _EXACT_BELOW = 32
 _POWER_STEPS = 8
 
@@ -181,6 +188,60 @@ def cond(m: np.ndarray) -> float:
     if s.size == 0 or s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _residual_bound(
+    a: np.ndarray, x: np.ndarray, anorm: float, xnorm: float
+) -> float:
+    """Upper bound on ||a x - I||_F for square a and x of Frobenius norms
+    `anorm` and `xnorm`.
+
+    The computed residual R, formed in place (no n x n identity), plus the
+    rounding of forming it: |fl(a x) - a x| <= gamma |a| |x| entrywise, so
+    the exact residual is within gamma ||a||_F ||x||_F of R, with gamma =
+    2 (n + 2) eps covering a complex inner product of length n and the
+    subtraction, rounded up.
+    """
+    n = a.shape[0]
+    gamma = 2.0 * (n + 2) * _EPS
+    r = a @ x
+    r.reshape(-1)[:: n + 1] -= 1.0
+    return (frobenius_norm(r) + gamma * anorm * xnorm) * (1.0 + gamma)
+
+
+def certified_inverse(
+    a: np.ndarray, cutoff: Callable[[float], float]
+) -> np.ndarray | None:
+    """inv(a) when it proves that an SVD of `a` finds every singular value
+    above cutoff(s_max); None when it cannot.
+
+    `cutoff` is the caller's SVD cutoff as a nondecreasing function of the
+    largest singular value; it is evaluated at ||a||_F >= ||a||_2, which
+    bounds it from above. With X = inv(a),
+    ||a^-1||_2 <= ||X||_F / (1 - ||a X - I||_F), so
+    sigma_min(a) >= (1 - rho) / ||X||_F with rho from `_residual_bound`
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14). Less
+    the SVD's own rounding (n eps ||a||_F), the bound must exceed twice the
+    cutoff: the other half absorbs the rounding of the cutoff itself, as in
+    `spectral._eigenvectors_certified`. Below a dimension of _EXACT_BELOW
+    the SVD is the cheaper way to decide, so the certificate is not tried.
+    """
+    n = a.shape[0]
+    if a.shape != (n, n) or n < _EXACT_BELOW:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return None
+        anorm = frobenius_norm(a)
+        xnorm = frobenius_norm(x) * (1.0 + 2.0 * (n + 2) * _EPS)
+        rho = _residual_bound(a, x, anorm, xnorm)
+        lower = (1.0 - rho) / xnorm - n * _EPS * anorm
+    return x if lower > 2.0 * cutoff(anorm) else None
 
 
 def eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

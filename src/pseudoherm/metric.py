@@ -87,11 +87,16 @@ class SignAssignment:
             pos += mult
         return cls(tuple(per))
 
+    @cached_property
+    def _by_cluster(self) -> dict[int, tuple[int, ...]]:
+        # reversed, so that a repeated index keeps its first entry
+        return dict(reversed(self.per_cluster))
+
     def signs_for(self, index: int) -> tuple[int, ...]:
-        for i, signs in self.per_cluster:
-            if i == index:
-                return signs
-        raise KeyError(f"no signs recorded for cluster {index}")
+        try:
+            return self._by_cluster[index]
+        except KeyError:
+            raise KeyError(f"no signs recorded for cluster {index}") from None
 
     @property
     def flat(self) -> tuple[int, ...]:
@@ -113,7 +118,8 @@ class EtaOperator:
 
     @cached_property
     def norm(self) -> float:
-        """||eta||_2, exact: it sets the null-kernel cutoff atol * ||eta||."""
+        """||eta||_2, exact: the null-kernel cutoff atol * ||eta|| takes it
+        when the bound through ||eta||_F cannot decide."""
         return spectral_norm(self.matrix)
 
     @classmethod
@@ -181,24 +187,41 @@ def _assemble(
     real_blocks: dict[int, np.ndarray],
     pair_blocks: dict[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eta = phi B phi^H and eta^-1 = psi B^-1 psi^H from per-cluster blocks."""
+    """eta = phi B phi^H and eta^-1 = psi B^-1 psi^H from per-cluster blocks.
+
+    B holds one block per real cluster (on its diagonal) and, for each
+    conjugate pair (u, w) with block P, P at (u, w) and P^H at (w, u). A
+    block m at rows r and columns c of B gives (phi B)[:, c] = phi[:, r] m,
+    and B^-1 holds inv(m) at rows c and columns r. So phi B and psi B^-1 are
+    formed cluster block by cluster block, with one stacked inverse and
+    product per block size, and each metric costs one GEMM.
+    """
     n = sys.dim
-    b = np.zeros((n, n), dtype=complex)
-    b_inv = np.zeros((n, n), dtype=complex)
+    by_size: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+
+    def place(rows: int, cols: int, block: np.ndarray) -> None:
+        by_size.setdefault(block.shape[0], []).append((rows, cols, block))
+
     for i, block in real_blocks.items():
-        c = sys.clusters[i].cols
-        b[c, c] = block
-        b_inv[c, c] = np.linalg.inv(block)
+        place(sys.clusters[i].start, sys.clusters[i].start, block)
     for upper, block in pair_blocks.items():
-        u = sys.clusters[upper].cols
-        w = sys.clusters[sys.clusters[upper].partner].cols
-        b[u, w] = block
-        b[w, u] = block.conj().T
-        b_inv[u, w] = np.linalg.inv(block.conj().T)
-        b_inv[w, u] = np.linalg.inv(block)
-    eta = sys.phi @ b @ sys.phi.conj().T
-    eta_inv = sys.psi @ b_inv @ sys.psi.conj().T
-    return eta, eta_inv
+        u = sys.clusters[upper].start
+        w = sys.clusters[sys.clusters[upper].partner].start
+        place(u, w, block)
+        place(w, u, block.conj().T)
+    phi_b = np.zeros((n, n), dtype=complex)
+    psi_b_inv = np.zeros((n, n), dtype=complex)
+    for mu, placed in by_size.items():
+        rows, cols, blocks = zip(*placed)
+        rows = np.add.outer(rows, range(mu))  # (blocks, mu) column indices
+        cols = np.add.outer(cols, range(mu))
+        blocks = np.array(blocks)
+        # through transposes: (phi B)^T[c] = m^T phi^T[r], (psi B^-1)^T[r] =
+        # inv(m)^T psi^T[c], as one stacked product per block size
+        phi_b.T[cols] = blocks.transpose(0, 2, 1) @ sys.phi.T[rows]
+        inverses = np.linalg.inv(blocks)
+        psi_b_inv.T[rows] = inverses.transpose(0, 2, 1) @ sys.psi.T[cols]
+    return phi_b @ sys.phi.conj().T, psi_b_inv @ sys.psi.conj().T
 
 
 def canonical_eta(

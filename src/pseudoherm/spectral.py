@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     as_matrix,
+    certified_inverse,
     cond,
     eig,
     frobenius_norm,
@@ -81,7 +82,9 @@ class EigenCluster:
 class BiorthonormalSystem:
     """Eigenvalue clusters plus the paired eigenvector matrices psi and phi.
 
-    `scale` is the 2-norm of the decomposed matrix.
+    `scale` is the 2-norm of the decomposed matrix. `psi_cond` is the exact
+    cond(psi): `decompose` seeds it when an SVD decided cond(psi) <=
+    cond_max, and it is computed on first access otherwise.
     """
 
     clusters: tuple[EigenCluster, ...]
@@ -262,6 +265,29 @@ def _eigenvectors_certified(
     return smin > 0.0 and resid / smin + svd_rounding <= 0.5 * c_low
 
 
+def _cond_checked_inverse(
+    psi: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, float | None]:
+    """psi^-1, once cond(psi) <= tol.cond_max is shown, and the exact
+    cond(psi) when an SVD computed it; else NonDiagonalizable.
+
+    cond(psi) = s_max / s_min <= cond_max holds when s_min exceeds
+    s_max / cond_max, so `certified_inverse` decides it with that cutoff; its
+    halved margin covers the rounding of s_max and of the division. When the
+    certificate cannot decide, the exact `cond` does, and its value is the
+    one the error reports.
+    """
+    inverse = certified_inverse(psi, lambda smax: smax / tol.cond_max)
+    if inverse is not None:
+        return inverse, None
+    psi_cond = cond(psi)
+    if not np.isfinite(psi_cond) or psi_cond > tol.cond_max:
+        raise NonDiagonalizable(
+            f"eigenvector condition number {psi_cond:.3e} exceeds {tol.cond_max:.3e}"
+        )
+    return np.linalg.inv(psi), psi_cond
+
+
 def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     """Build the biorthonormal eigensystem of a diagonalizable matrix.
 
@@ -270,15 +296,19 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     by construction.
 
     Raises NonDiagonalizable when cond(psi) exceeds tol.cond_max or a
-    degenerate cluster has too few independent eigenvectors. A cluster of
-    value lambda and multiplicity mu has enough when n - rank(H - lambda I)
-    >= mu under a cutoff widened to the cluster's spread. That rank needs an
-    n x n SVD, so each cluster first tries a certificate from its own mu
-    eigenvector columns V: Courant-Fischer bounds the mu-th smallest
-    singular value of H - lambda I by ||H V - lambda V||_F / sigma_min(V).
-    When the bound, with its rounding, is at most half the lowest value the
-    rank cutoff can take, the SVD could only agree and is skipped. Otherwise
-    (nearly parallel columns, near-Jordan blocks) the SVD decides as before.
+    degenerate cluster has too few independent eigenvectors. The inverse that
+    gives phi also certifies cond(psi) <= cond_max (`certified_inverse`);
+    only when that bound cannot decide (or below its size cutoff) does an SVD
+    compute cond(psi). A
+    cluster of value lambda and multiplicity mu has enough eigenvectors when
+    n - rank(H - lambda I) >= mu under a cutoff widened to the cluster's
+    spread. That rank needs an n x n SVD, so each cluster first tries a
+    certificate from its own mu eigenvector columns V: Courant-Fischer bounds
+    the mu-th smallest singular value of H - lambda I by
+    ||H V - lambda V||_F / sigma_min(V). When the bound, with its rounding,
+    is at most half the lowest value the rank cutoff can take, the SVD could
+    only agree and is skipped. Otherwise (nearly parallel columns, near-Jordan
+    blocks) the SVD decides as before.
     """
     h = as_matrix(h, square=True)
     values, vectors = eig(h)
@@ -287,12 +317,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
 
     clusters, order = cluster_eigenvalues(values, ctol)
     psi = vectors[:, order]
-
-    psi_cond = cond(psi)
-    if not np.isfinite(psi_cond) or psi_cond > tol.cond_max:
-        raise NonDiagonalizable(
-            f"eigenvector condition number {psi_cond:.3e} exceeds {tol.cond_max:.3e}"
-        )
+    inverse, psi_cond = _cond_checked_inverse(psi, tol)
     n = h.shape[0]
     for c in clusters:
         mult = c.multiplicity
@@ -314,16 +339,16 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
                 f"below algebraic multiplicity {mult}"
             )
 
-    phi = np.linalg.inv(psi).conj().T
     system = BiorthonormalSystem(
         clusters=clusters,
         psi=psi,
-        phi=phi,
+        phi=inverse.conj().T,
         dim=n,
         scale=scale,
         cluster_tol=ctol,
     )
-    system.psi_cond = psi_cond  # seeds the cached property with the value above
+    if psi_cond is not None:
+        system.psi_cond = psi_cond  # seeds the cached property with the value above
     return system
 
 

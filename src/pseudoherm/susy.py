@@ -31,6 +31,7 @@ from .linalg import (
     ResidualCheck,
     Tolerance,
     as_matrix,
+    certified_inverse,
     frobenius_norm,
     kernel_basis,
     norm_lower_bound,
@@ -178,7 +179,13 @@ def assemble(
     any other shape raises ValueError.
     """
     d = as_matrix(d)
-    d_sharp = pseudo_adjoint(d, eta_plus, eta_minus)
+    return _graded(d, pseudo_adjoint(d, eta_plus, eta_minus), eta_plus, eta_minus)
+
+
+def _graded(
+    d: np.ndarray, d_sharp: np.ndarray, eta_plus: EtaOperator, eta_minus: EtaOperator
+) -> PseudoSusySystem:
+    """The system of D and its pseudo-adjoint D#, with H+ and H- formed."""
     return PseudoSusySystem(
         d=d,
         d_sharp=d_sharp,
@@ -300,15 +307,35 @@ def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
     """True when eta restricted to span(kernel) has no zero eigenvalue.
 
     The test is basis-independent: every kernel vector v that diagonalizes
-    the restricted form has |<v, eta v>| above atol * ||eta||. An empty
-    kernel passes.
+    the restricted form has |<v, eta v>| above atol * ||eta||_2. An empty
+    kernel passes. ||eta||_F bounds ||eta||_2 from above, so a smallest
+    |eigenvalue| above atol * ||eta||_F, widened by n^2 eps for the rounding
+    of both norms, passes under the exact rule too; only below that does the
+    exact `eta.norm` (an SVD) decide.
     """
     if kernel.shape[1] == 0:
         return True
     restricted = kernel.conj().T @ eta.matrix @ kernel
     restricted = 0.5 * (restricted + restricted.conj().T)
-    eigs = np.linalg.eigvalsh(restricted)
-    return bool(np.min(np.abs(eigs)) > tol.atol * eta.norm)
+    smallest = float(np.min(np.abs(np.linalg.eigvalsh(restricted))))
+    rounding = eta.dim**2 * np.finfo(float).eps
+    if smallest > tol.atol * frobenius_norm(eta.matrix) * (1.0 + rounding):
+        return True
+    return smallest > tol.atol * eta.norm
+
+
+def _kernel(h: np.ndarray, injective: bool, tol: Tolerance) -> np.ndarray:
+    """kernel_basis(h, tol), or the empty basis that `certified_inverse`
+    proves when D is injective on the sector.
+
+    ker D lies in the kernel of H+ (and ker D# in that of H-), so a sector on
+    which D is not injective has a kernel and goes straight to the SVD.
+    """
+    if injective and certified_inverse(
+        h, lambda smax: tol.svd_cutoff(h.shape, smax)
+    ) is not None:
+        return np.zeros((h.shape[0], 0), dtype=complex)
+    return kernel_basis(h, tol)
 
 
 def witten_index(
@@ -322,9 +349,16 @@ def witten_index(
     zero both ways, so they form a two-step complex whose Betti numbers
     reproduce the index; the analytic index of D itself matches whenever both
     sectors are free of null zero modes.
+
+    rank(D) comes first (singular values only). When it equals a sector's
+    dimension (D injective for H+, surjective for H-), the sector's kernel
+    is first shown empty by `certified_inverse` under the cutoff of
+    `kernel_basis`; otherwise, or when the bound cannot decide,
+    `kernel_basis` computes the kernel by an SVD.
     """
-    k_plus = kernel_basis(psys.h_plus, tol)
-    k_minus = kernel_basis(psys.h_minus, tol)
+    rank_d = rank(psys.d, tol)
+    k_plus = _kernel(psys.h_plus, rank_d == psys.dim_plus, tol)
+    k_minus = _kernel(psys.h_minus, rank_d == psys.dim_minus, tol)
     d0_plus = k_plus.shape[1]
     d0_minus = k_minus.shape[1]
 
@@ -353,7 +387,6 @@ def witten_index(
         frobenius_norm(d0_flat_coords @ d0_coords),
     )
 
-    rank_d = rank(psys.d, tol)
     rank_d0 = rank(d0_coords, tol)
     rank_d0_flat = rank(d0_flat_coords, tol)
     ker_d = psys.dim_plus - rank_d
@@ -388,6 +421,7 @@ def from_factorization(fact: Factorization) -> PseudoSusySystem:
     """Promote a factorization to the graded system with D = sqrt(2) L.
 
     The partner Hamiltonians then reproduce the factored pair: H+ = L# L and
-    H- = L L#.
+    H- = L L#. D# = sqrt(2) L#, from the L# the factorization already holds.
     """
-    return assemble(np.sqrt(2.0) * fact.matrix, fact.eta1, fact.eta2)
+    root2 = np.sqrt(2.0)
+    return _graded(root2 * fact.matrix, root2 * fact.lsharp, fact.eta1, fact.eta2)

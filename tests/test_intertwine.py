@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,19 @@ from pseudoherm.intertwine import (
     self_factorization,
     verify_intertwining,
 )
-from pseudoherm.spectral import decompose, reconstruct
+from pseudoherm.spectral import (
+    KIND_LOWER,
+    KIND_REAL,
+    KIND_UPPER,
+    BiorthonormalSystem,
+    EigenCluster,
+    decompose,
+    reconstruct,
+)
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 from pseudoherm.metric import pseudo_adjoint
 
+import matching_reference
 from support import (
     match_value_multisets,
     matrix_with_spectrum,
@@ -300,3 +311,66 @@ class TestVerifyIntertwining:
         h2 = np.diag([4.0, 5.0, 6.0])
         check = verify_intertwining(l, h1, h2)
         assert not check.passed
+
+
+def pairing_key(pairing):
+    return (
+        [(m.index1, m.index2, m.mu, m.value, m.is_zero) for m in pairing.matches],
+        pairing.zero_unmatched1,
+        pairing.zero_unmatched2,
+        pairing.match_tol,
+    )
+
+
+def assert_matches_reference(sys1, sys2):
+    try:
+        expected = pairing_key(matching_reference.match_spectra(sys1, sys2))
+    except NotIsospectral as exc:
+        with pytest.raises(NotIsospectral, match=re.escape(str(exc))):
+            match_spectra(sys1, sys2)
+        return None
+    assert pairing_key(match_spectra(sys1, sys2)) == expected
+    return expected
+
+
+def grid_system(values, ctol):
+    """A system whose clusters carry exactly the given values (simple, in the
+    given order); only clusters and cluster_tol are read by the matcher."""
+    clusters = []
+    for k, v in enumerate(values):
+        kind = KIND_REAL if v.imag == 0 else KIND_UPPER if v.imag > 0 else KIND_LOWER
+        clusters.append(EigenCluster(complex(v), 1, kind, k))
+    eye = np.eye(len(values), dtype=complex)
+    return BiorthonormalSystem(tuple(clusters), eye, eye, len(values), 1.0, ctol)
+
+
+class TestMatchSpectraWindow:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["pair_simple", "pair_degenerate"])
+    def test_matches_reference_on_benchmark_pairs(self, bench_inputs, workload, seed):
+        first, second = bench_inputs.pair_inputs(workload, seed)
+        assert assert_matches_reference(decompose(first.h), decompose(second.h))
+
+    def test_matches_reference_on_exact_ties(self):
+        ctol = 2.0**-10
+        step = ctol / 2  # grid points one and two steps apart tie exactly
+        rng = np.random.default_rng(0)
+        matched = 0
+        for _ in range(300):
+            size = int(rng.integers(1, 7))
+            grid = rng.integers(-4, 5, size=(2, size))
+            imag = rng.choice([0.0, 1.0, -1.0], size=size)
+            sys1 = grid_system(grid[0] * step + 1j * imag, ctol)
+            sys2 = grid_system(grid[1] * step + 1j * imag[rng.permutation(size)], ctol)
+            matched += assert_matches_reference(sys1, sys2) is not None
+        assert matched > 10
+
+    def test_tie_goes_to_the_later_cluster(self):
+        ctol = 2.0**-10
+        sys1 = grid_system([1.0, 1.0 + 2 * ctol], ctol)
+        # 1.0 is ctol from both clusters of sys2 and takes the later one
+        pairing = match_spectra(sys1, grid_system([1.0 + ctol, 1.0 - ctol], ctol))
+        assert [(m.index1, m.index2) for m in pairing.matches] == [(0, 1), (1, 0)]
+        # here the later one is 1 + ctol, which leaves 1 + 2 ctol unmatched
+        with pytest.raises(NotIsospectral, match="no match"):
+            match_spectra(sys1, grid_system([1.0 - ctol, 1.0 + ctol], ctol))

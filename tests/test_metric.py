@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.errors import InvalidEta, NotPseudoHermitian, RealSpectrumRequired
-from pseudoherm.linalg import singular_values
+from pseudoherm.linalg import frobenius_norm, singular_values
 from pseudoherm.metric import (
     EtaOperator,
     SignAssignment,
@@ -17,6 +17,7 @@ from pseudoherm.spectral import decompose
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 
 from support import (
+    draw_spectrum,
     matrix_with_spectrum,
     positive_definite,
     random_paired_hamiltonian,
@@ -341,3 +342,66 @@ class TestHermitianSimilarity:
         sys = decompose(np.array([[0.0, 1.0], [-4.0, 0.0]]))
         with pytest.raises(RealSpectrumRequired):
             hermitian_similarity(sys)
+
+
+def dense_metric(sys_, real_blocks, pair_blocks):
+    """phi B phi^H and psi B^-1 psi^H with B and B^-1 laid out densely."""
+    n = sys_.dim
+    b = np.zeros((n, n), dtype=complex)
+    b_inv = np.zeros((n, n), dtype=complex)
+    for i, block in real_blocks.items():
+        c = sys_.clusters[i].cols
+        b[c, c] = block
+        b_inv[c, c] = np.linalg.inv(block)
+    for upper, block in pair_blocks.items():
+        u = sys_.clusters[upper].cols
+        w = sys_.clusters[sys_.clusters[upper].partner].cols
+        b[u, w] = block
+        b[w, u] = block.conj().T
+        b_inv[u, w] = np.linalg.inv(block.conj().T)
+        b_inv[w, u] = np.linalg.inv(block)
+    return sys_.phi @ b @ sys_.phi.conj().T, sys_.psi @ b_inv @ sys_.psi.conj().T
+
+
+class TestBlockAssembly:
+    def test_canonical_eta_equals_the_dense_product_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        sys_ = decompose(matrix_with_spectrum(draw_spectrum(rng, 40), rng))
+        flat = rng.choice([-1, 1], size=sum(
+            sys_.clusters[i].multiplicity for i in sys_.real_cluster_indices()
+        ))
+        signs = SignAssignment.from_flat(sys_, flat)
+        eta = canonical_eta(sys_, signs)
+        real = {
+            i: np.diag(np.asarray(signs.signs_for(i), dtype=complex))
+            for i in sys_.real_cluster_indices()
+        }
+        pairs = {
+            u: np.eye(sys_.clusters[u].multiplicity, dtype=complex)
+            for u, _ in sys_.pair_groups()
+        }
+        matrix, inverse = dense_metric(sys_, real, pairs)
+        assert np.array_equal(eta.matrix, matrix)
+        assert np.array_equal(eta.inverse, inverse)
+
+    def test_general_blocks_agree_with_the_dense_product(self):
+        rng = np.random.default_rng(8)
+        sys_ = decompose(matrix_with_spectrum(draw_spectrum(rng, 30), rng))
+        real, pairs = {}, {}
+        for i in sys_.real_cluster_indices():
+            m = rng.standard_normal((sys_.clusters[i].multiplicity,) * 2)
+            real[i] = (m + m.T + 4 * np.eye(len(m))).astype(complex)
+        for u, _ in sys_.pair_groups():
+            mu = sys_.clusters[u].multiplicity
+            pairs[u] = (np.eye(mu) + 0.3 * rng.standard_normal((mu, mu))).astype(complex)
+        eta = eta_from_M(sys_, list(real.values()), list(pairs.values()))
+        matrix, inverse = dense_metric(sys_, real, pairs)
+        assert frobenius_norm(eta.matrix - matrix) <= 1e-12 * frobenius_norm(matrix)
+        assert frobenius_norm(eta.inverse - inverse) <= 1e-12 * frobenius_norm(inverse)
+
+    def test_signs_for_keeps_the_first_entry_of_a_repeated_cluster(self):
+        signs = SignAssignment(((0, (1,)), (2, (-1, 1)), (0, (-1,))))
+        assert signs.signs_for(0) == (1,)
+        assert signs.signs_for(2) == (-1, 1)
+        with pytest.raises(KeyError, match="cluster 1"):
+            signs.signs_for(1)

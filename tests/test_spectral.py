@@ -1,7 +1,3 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,18 +289,6 @@ def assert_matches_reference(values, ctol):
     result = cluster_eigenvalues(values, ctol)
     assert _exact(result) == _exact(reference_clusters(values, ctol))
     return result
-
-
-@pytest.fixture(scope="module")
-def bench_inputs():
-    """bench/inputs.py, loaded by path (the benchmark directory is no package)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 class TestClusterEigenvalues:

@@ -6,7 +6,7 @@ import pytest
 
 from pseudoherm.errors import NumericalFailure
 from pseudoherm.intertwine import canonical_factorization, self_factorization
-from pseudoherm.linalg import DEFAULT_TOLERANCE, norm_lower_bound
+from pseudoherm.linalg import DEFAULT_TOLERANCE, frobenius_norm, norm_lower_bound
 from pseudoherm.metric import EtaOperator
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import (
@@ -19,6 +19,7 @@ from pseudoherm.susy import (
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 
 from support import (
+    draw_spectrum,
     engineered_rank_map,
     match_value_multisets,
     matrix_with_spectrum,
@@ -447,3 +448,16 @@ class TestBlockSpectrum:
         psys = assemble(d, eta, eta)
         sys_ = decompose(psys.h)
         assert classify_spectrum(sys_).tag != TAG_UNPAIRABLE
+
+
+def test_from_factorization_takes_d_sharp_from_the_factorization():
+    rng = np.random.default_rng(11)
+    values = draw_spectrum(rng, 16)
+    fact = canonical_factorization(
+        decompose(matrix_with_spectrum(values, rng)),
+        decompose(matrix_with_spectrum(values, rng)),
+    )
+    psys = from_factorization(fact)
+    assert np.array_equal(psys.d_sharp, np.sqrt(2.0) * fact.lsharp)
+    adjoint = fact.eta1.inverse @ psys.d.conj().T @ fact.eta2.matrix
+    assert frobenius_norm(psys.d_sharp - adjoint) <= 1e-12 * frobenius_norm(adjoint)
