@@ -81,14 +81,6 @@ class Intertwiner:
     alpha: tuple[complex, ...]
     pairing: SpectralPairing
 
-    @property
-    def source(self) -> BiorthonormalSystem:
-        return self.pairing.system1
-
-    @property
-    def target(self) -> BiorthonormalSystem:
-        return self.pairing.system2
-
 
 @dataclass(eq=False)
 class Factorization:
@@ -272,8 +264,7 @@ def _canonical_signs(sys: BiorthonormalSystem, negative_flip: bool) -> SignAssig
     per = []
     for i in sys.real_cluster_indices():
         c = sys.clusters[i]
-        is_zero = abs(c.value) <= sys.cluster_tol
-        negative = negative_flip and not is_zero and c.value.real < 0
+        negative = negative_flip and not sys.is_zero_cluster(i) and c.value.real < 0
         sign = -1 if negative else 1
         per.append((i, (sign,) * c.multiplicity))
     return SignAssignment(tuple(per))

@@ -1,11 +1,12 @@
 """Pseudo-metric operators and the structure they certify.
 
 A Hermitian invertible eta with eta H eta^-1 = H^H makes H pseudo-Hermitian.
-For a diagonalizable H the general such eta is assembled from the dual
-eigenvector family: sign blocks on real clusters, swap blocks across
-conjugate pairs. Inverses are assembled from the psi family directly
-(eta^-1 = psi B^-1 psi^H), which is structurally exact, instead of running a
-numerical inversion.
+For a diagonalizable H the general such eta is phi B phi^H: Hermitian
+blocks of B on real clusters, block pairs across conjugate pairs. Inverses
+come from the psi family directly (eta^-1 = psi B^-1 psi^H), which is
+structurally exact, instead of a numerical inversion. The canonical B (a
+sign per real eigenvector, a unit swap across each pair) is a signed
+involutive permutation, B^-1 = B, applied to the columns of phi and psi.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class EtaOperator:
     matrix: np.ndarray
     inverse: np.ndarray
     signs: SignAssignment | None = None
-    source: BiorthonormalSystem | None = None
 
     @property
     def dim(self) -> int:
@@ -182,69 +182,80 @@ def _pair_needs_system(sys: BiorthonormalSystem) -> None:
         )
 
 
+def _column_involution(sys: BiorthonormalSystem) -> np.ndarray:
+    """Column permutation p of canonical B, with p[p] = identity: each column
+    of a linked conjugate pair goes to the partner's matching column, and
+    every other column stays."""
+    shift = [
+        0 if c.partner is None else sys.clusters[c.partner].start - c.start
+        for c in sys.clusters
+    ]
+    return np.arange(sys.dim) + np.repeat(shift, [c.multiplicity for c in sys.clusters])
+
+
+def _column_signs(sys: BiorthonormalSystem, signs: SignAssignment) -> np.ndarray:
+    """`signs` on real clusters and +1 on pair columns, one per column.
+    ValueError unless `signs` gives one +1/-1 per eigenvector of real
+    clusters only; KeyError (`signs_for`) for a real cluster without signs."""
+    real = sys.real_cluster_indices()
+    stray = sorted({i for i, _ in signs.per_cluster} - set(real))
+    if stray:
+        raise ValueError(f"signs recorded for clusters {stray}, which are not real")
+    column = np.ones(sys.dim)
+    for i in real:
+        c, given = sys.clusters[i], signs.signs_for(i)
+        if len(given) != c.multiplicity or any(g not in (-1, 1) for g in given):
+            raise ValueError(f"cluster {i} takes {c.multiplicity} signs +1/-1: {given}")
+        column[c.cols] = given
+    return column
+
+
 def _assemble(
     sys: BiorthonormalSystem,
-    real_blocks: dict[int, np.ndarray],
-    pair_blocks: dict[int, np.ndarray],
+    real_blocks: list[np.ndarray],
+    pair_blocks: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eta = phi B phi^H and eta^-1 = psi B^-1 psi^H from per-cluster blocks.
-
-    B holds one block per real cluster (on its diagonal) and, for each
-    conjugate pair (u, w) with block P, P at (u, w) and P^H at (w, u). A
-    block m at rows r and columns c of B gives (phi B)[:, c] = phi[:, r] m,
-    and B^-1 holds inv(m) at rows c and columns r. So phi B and psi B^-1 are
-    formed cluster block by cluster block, with one stacked inverse and
-    product per block size, and each metric costs one GEMM.
-    """
+    """Dense eta = phi B phi^H and eta^-1 = psi B^-1 psi^H from blocks ordered
+    as `real_cluster_indices` and `pair_groups`: each real block on the
+    diagonal of B, P at (u, w) and P^H at (w, u) for a pair block P, and the
+    inverse blocks in B^-1. (Canonical B is a signed permutation, B^-1 = B,
+    which `canonical_eta` applies to the columns of phi and psi instead.)"""
     n = sys.dim
-    by_size: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-
-    def place(rows: int, cols: int, block: np.ndarray) -> None:
-        by_size.setdefault(block.shape[0], []).append((rows, cols, block))
-
-    for i, block in real_blocks.items():
-        place(sys.clusters[i].start, sys.clusters[i].start, block)
-    for upper, block in pair_blocks.items():
-        u = sys.clusters[upper].start
-        w = sys.clusters[sys.clusters[upper].partner].start
-        place(u, w, block)
-        place(w, u, block.conj().T)
-    phi_b = np.zeros((n, n), dtype=complex)
-    psi_b_inv = np.zeros((n, n), dtype=complex)
-    for mu, placed in by_size.items():
-        rows, cols, blocks = zip(*placed)
-        rows = np.add.outer(rows, range(mu))  # (blocks, mu) column indices
-        cols = np.add.outer(cols, range(mu))
-        blocks = np.array(blocks)
-        # through transposes: (phi B)^T[c] = m^T phi^T[r], (psi B^-1)^T[r] =
-        # inv(m)^T psi^T[c], as one stacked product per block size
-        phi_b.T[cols] = blocks.transpose(0, 2, 1) @ sys.phi.T[rows]
-        inverses = np.linalg.inv(blocks)
-        psi_b_inv.T[rows] = inverses.transpose(0, 2, 1) @ sys.psi.T[cols]
-    return phi_b @ sys.phi.conj().T, psi_b_inv @ sys.psi.conj().T
+    b = np.zeros((n, n), dtype=complex)
+    b_inv = np.zeros((n, n), dtype=complex)
+    for i, m in zip(sys.real_cluster_indices(), real_blocks):
+        c = sys.clusters[i].cols
+        b[c, c] = m
+        b_inv[c, c] = np.linalg.inv(m)
+    for (upper, lower), m in zip(sys.pair_groups(), pair_blocks):
+        u, w = sys.clusters[upper].cols, sys.clusters[lower].cols
+        m_inv = np.linalg.inv(m)
+        b[u, w] = m
+        b[w, u] = m.conj().T
+        b_inv[w, u] = m_inv
+        b_inv[u, w] = m_inv.conj().T
+    return sys.phi @ b @ sys.phi.conj().T, sys.psi @ b_inv @ sys.psi.conj().T
 
 
 def canonical_eta(
     sys: BiorthonormalSystem, signs: SignAssignment | None = None
 ) -> EtaOperator:
-    """Metric with sign blocks on real clusters and unit swaps across pairs.
+    """Metric with signs on real eigenvectors and unit swaps across pairs.
 
-    With all signs +1 on a Hermitian input this reduces to the identity. The
-    2^(number of real eigenvectors) sign choices exhaust the canonical family.
+    B is the signed involutive permutation (p, s), so B^-1 = B and
+    eta = (phi[:, p] s) phi^H, eta^-1 = (psi[:, p] s) psi^H. All signs +1 on
+    a Hermitian input give the identity. The 2^(number of real eigenvectors)
+    sign choices exhaust the canonical family.
     """
     _pair_needs_system(sys)
     if signs is None:
         signs = SignAssignment.uniform(sys)
-    real_blocks = {
-        i: np.diag(np.asarray(signs.signs_for(i), dtype=complex))
-        for i in sys.real_cluster_indices()
-    }
-    pair_blocks = {
-        upper: np.eye(sys.clusters[upper].multiplicity, dtype=complex)
-        for upper, _ in sys.pair_groups()
-    }
-    eta, eta_inv = _assemble(sys, real_blocks, pair_blocks)
-    return EtaOperator(matrix=eta, inverse=eta_inv, signs=signs, source=sys)
+    p, s = _column_involution(sys), _column_signs(sys, signs)
+    return EtaOperator(
+        matrix=(sys.phi[:, p] * s) @ sys.phi.conj().T,
+        inverse=(sys.psi[:, p] * s) @ sys.psi.conj().T,
+        signs=signs,
+    )
 
 
 def eta_from_M(
@@ -280,16 +291,12 @@ def eta_from_M(
             if herm > max(tol.atol, tol.rtol * float(s[0])):
                 raise InvalidEta(f"real-cluster block is not Hermitian ({herm:.3e})")
 
-    real_map = {}
     for i, m in zip(real_idx, real_blocks):
         check_block(m, sys.clusters[i].multiplicity, hermitian=True)
-        real_map[i] = m
-    pair_map = {}
     for (upper, _), m in zip(pairs, pair_blocks):
         check_block(m, sys.clusters[upper].multiplicity, hermitian=False)
-        pair_map[upper] = m
-    eta, eta_inv = _assemble(sys, real_map, pair_map)
-    return EtaOperator(matrix=eta, inverse=eta_inv, source=sys)
+    eta, eta_inv = _assemble(sys, real_blocks, pair_blocks)
+    return EtaOperator(matrix=eta, inverse=eta_inv)
 
 
 def verify_pseudo_hermiticity(
@@ -312,25 +319,12 @@ def verify_pseudo_hermiticity(
 
 
 def antilinear_symmetry(sys: BiorthonormalSystem) -> AntilinearOperator:
-    """Antilinear map commuting with the decomposed matrix.
-
-    Built as S = psi P phi^T with P the identity on real clusters and the
-    columnwise swap across each conjugate pair, so that H S = S conj(H).
-    """
+    """Antilinear map commuting with the decomposed matrix: S = psi P phi^T
+    = psi[:, p] phi^T, with P the unsigned canonical B (an involutive
+    permutation), so that H S = S conj(H)."""
     _pair_needs_system(sys)
-    n = sys.dim
-    p = np.zeros((n, n), dtype=complex)
-    for i in sys.real_cluster_indices():
-        c = sys.clusters[i]
-        p[c.cols, c.cols] = np.eye(c.multiplicity)
-    for upper, lower in sys.pair_groups():
-        cu, cl = sys.clusters[upper], sys.clusters[lower]
-        for a in range(cu.multiplicity):
-            p[cu.start + a, cl.start + a] = 1.0
-            p[cl.start + a, cu.start + a] = 1.0
-    # unpaired complex clusters are excluded by the guard above
-    s = sys.psi @ p @ sys.phi.T
-    return AntilinearOperator(linear_part=s)
+    p = _column_involution(sys)
+    return AntilinearOperator(linear_part=sys.psi[:, p] @ sys.phi.T)
 
 
 def hermitian_similarity(
@@ -338,15 +332,11 @@ def hermitian_similarity(
 ) -> tuple[np.ndarray, np.ndarray, EtaOperator]:
     """(O, h, eta) with O H O^-1 = h real diagonal and eta = O^H O > 0.
 
-    Only real-spectrum systems qualify; O = psi^-1 comes for free as phi^H.
+    Only real-spectrum systems qualify; O = psi^-1 comes for free as phi^H,
+    and eta is the all-+1 canonical metric phi phi^H.
     """
     if classify_spectrum(sys, tol).tag != TAG_ALL_REAL:
         raise RealSpectrumRequired("similarity to a Hermitian matrix needs a real spectrum")
     o = sys.phi.conj().T
     h = np.diag(sys.eigenvalues.real).astype(complex)
-    eta = EtaOperator(
-        matrix=sys.phi @ sys.phi.conj().T,
-        inverse=sys.psi @ sys.psi.conj().T,
-        source=sys,
-    )
-    return o, h, eta
+    return o, h, canonical_eta(sys)

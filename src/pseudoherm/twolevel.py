@@ -211,13 +211,11 @@ def two_level_factorization(
             matrix=-_outer(phi1, phi1) + _outer(phi2, phi2),
             inverse=-_outer(psi1, psi1) + _outer(psi2, psi2),
             signs=SignAssignment(((0, (-1,)), (1, (1,)))),
-            source=sys,
         )
         eta2 = EtaOperator(
             matrix=_outer(phi1, phi1) + _outer(phi2, phi2),
             inverse=_outer(psi1, psi1) + _outer(psi2, psi2),
             signs=SignAssignment(((0, (1,)), (1, (1,)))),
-            source=sys,
         )
         lsharp = root * (eta1.inverse @ eta2.matrix)
         alpha = (complex(root), complex(root))
@@ -225,8 +223,8 @@ def two_level_factorization(
         l = _outer(psi1, phi1) + e * _outer(psi2, phi2)
         swap = _outer(phi1, phi2) + _outer(phi2, phi1)
         swap_inv = _outer(psi1, psi2) + _outer(psi2, psi1)
-        eta1 = EtaOperator(matrix=swap, inverse=swap_inv, source=sys)
-        eta2 = EtaOperator(matrix=swap.copy(), inverse=swap_inv.copy(), source=sys)
+        eta1 = EtaOperator(matrix=swap, inverse=swap_inv)
+        eta2 = EtaOperator(matrix=swap.copy(), inverse=swap_inv.copy())
         lsharp = -e * _outer(psi1, phi1) + _outer(psi2, phi2)
         # cluster order puts +E (PairUpper) first
         alpha = (complex(e), 1.0)

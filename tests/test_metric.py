@@ -16,6 +16,7 @@ from pseudoherm.metric import (
 from pseudoherm.spectral import decompose
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 
+from antilinear_reference import antilinear_symmetry as dense_antilinear_symmetry
 from support import (
     draw_spectrum,
     matrix_with_spectrum,
@@ -29,6 +30,14 @@ def oscillator_system(omega=2.0):
     return closed_form_system(
         TwoLevelParams.from_coefficients(0, 1j, -1j * omega**2)
     )
+
+
+@pytest.fixture(scope="module")
+def degenerate_pair_system(bench_inputs):
+    """First matrix of the seed-1 `pair_degenerate` benchmark pair: n = 256,
+    conjugate pairs of multiplicity 1-3 and a zero cluster of multiplicity 3."""
+    first, _ = bench_inputs.pair_inputs("pair_degenerate", 1)
+    return decompose(first.h)
 
 
 class TestPseudoAdjoint:
@@ -98,6 +107,29 @@ class TestCanonicalEta:
         sys = decompose(np.diag([1.0, 2 + 3j]))
         with pytest.raises(NotPseudoHermitian):
             canonical_eta(sys)
+
+    def test_rejects_fewer_signs_than_the_cluster_multiplicity(self):
+        # one sign for the doubly degenerate cluster at 1 would leave a zero
+        # column in eta
+        sys = decompose(np.diag([1.0, 1.0, 3.0]))
+        with pytest.raises(ValueError, match=r"cluster 0 takes 2 signs \+1/-1: \(1,\)"):
+            canonical_eta(sys, SignAssignment(((0, (1,)), (1, (1,)))))
+
+    def test_rejects_a_sign_other_than_plus_or_minus_one(self):
+        sys = decompose(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=r"cluster 1 takes 1 signs \+1/-1: \(2,\)"):
+            canonical_eta(sys, SignAssignment(((0, (1,)), (1, (2,)), (2, (1,)))))
+
+    def test_rejects_signs_on_a_cluster_that_is_not_real(self):
+        # clusters 0 and 1 are the pair +-i, cluster 2 the real eigenvalue
+        sys = decompose(np.diag([1j, -1j, 2.0]))
+        with pytest.raises(ValueError, match=r"clusters \[0, 5\]"):
+            canonical_eta(sys, SignAssignment(((0, (1,)), (2, (1,)), (5, (1,)))))
+
+    def test_missing_real_cluster_raises_key_error(self):
+        sys = decompose(np.diag([1.0, 2.0]))
+        with pytest.raises(KeyError, match="cluster 1"):
+            canonical_eta(sys, SignAssignment(((0, (1,)),)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_systems_all_sign_choices_verify(self, seed):
@@ -299,6 +331,18 @@ class TestAntilinearSymmetry:
         with pytest.raises(NotPseudoHermitian):
             antilinear_symmetry(sys)
 
+    @pytest.mark.parametrize("case", ["zero_cluster", "pair_degenerate"])
+    def test_matches_the_dense_permutation_reference(self, case, request):
+        if case == "zero_cluster":
+            rng = np.random.default_rng(12)
+            values = [0.0, 0.0, 1 + 1j, 1 - 1j, 2.0, 2.0 + 0.5j, 2.0 - 0.5j]
+            sys = decompose(matrix_with_spectrum(values, rng))
+        else:
+            sys = request.getfixturevalue("degenerate_pair_system")
+        assert any(sys.is_zero_cluster(i) for i in sys.real_cluster_indices())
+        expected = dense_antilinear_symmetry(sys).linear_part
+        assert np.array_equal(antilinear_symmetry(sys).linear_part, expected)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_paired_systems(self, seed):
         rng = np.random.default_rng(seed)
@@ -320,6 +364,9 @@ class TestHermitianSimilarity:
         # orthonormal eigenbasis: O is unitary and eta is close to identity
         assert np.allclose(o @ o.conj().T, np.eye(4), atol=1e-8)
         assert np.min(np.linalg.eigvalsh(eta.matrix)) > 0
+        # the all-+1 canonical metric of a real spectrum
+        assert np.array_equal(eta.matrix, sys.phi @ sys.phi.conj().T)
+        assert np.array_equal(eta.inverse, sys.psi @ sys.psi.conj().T)
 
     def test_upper_triangular_example(self):
         h = np.array([[1.0, 1.0], [0.0, 2.0]])
@@ -364,9 +411,16 @@ def dense_metric(sys_, real_blocks, pair_blocks):
 
 
 class TestBlockAssembly:
-    def test_canonical_eta_equals_the_dense_product_bit_for_bit(self):
-        rng = np.random.default_rng(7)
-        sys_ = decompose(matrix_with_spectrum(draw_spectrum(rng, 40), rng))
+    # "degen": the seed-1 `pair_degenerate` system; ids short enough that the
+    # printed test names stay whole
+    @pytest.mark.parametrize("case", ["n40", "degen"])
+    def test_canonical_eta_equals_the_dense_product_bit_for_bit(self, case, request):
+        if case == "n40":
+            rng = np.random.default_rng(7)
+            sys_ = decompose(matrix_with_spectrum(draw_spectrum(rng, 40), rng))
+        else:
+            rng = np.random.default_rng(1)
+            sys_ = request.getfixturevalue("degenerate_pair_system")
         flat = rng.choice([-1, 1], size=sum(
             sys_.clusters[i].multiplicity for i in sys_.real_cluster_indices()
         ))
