@@ -59,7 +59,6 @@ from .spectral import (
     verify_biorthonormality,
 )
 from .susy import (
-    AlgebraReport,
     PseudoSusySystem,
     WittenReport,
     assemble,

@@ -19,7 +19,7 @@ from itertools import chain
 
 from .errors import PseudohermError, UsageError
 from .intertwine import canonical_factorization, self_factorization
-from .linalg import ResidualCheck, Tolerance
+from .linalg import Tolerance
 from .metric import EtaOperator, SignAssignment, canonical_eta, verify_pseudo_hermiticity
 from .report import (
     check_payload,
@@ -139,7 +139,6 @@ def _base_report(command: str, inputs: dict, tol: Tolerance) -> dict:
         "tolerance": _tolerance_payload(tol),
         "result": {},
         "checks": [],
-        "passed": True,
     }
 
 
@@ -160,14 +159,6 @@ def _cluster_payload(sys) -> list[dict]:
     ]
 
 
-def _biorth_checks(sys, tol) -> list[ResidualCheck]:
-    rep = verify_biorthonormality(sys, tol)
-    return [
-        ResidualCheck("biorthonormality_left", rep.left_residual, rep.threshold),
-        ResidualCheck("biorthonormality_right", rep.right_residual, rep.threshold),
-    ]
-
-
 def _factorization_payload(report: dict, fact) -> None:
     report["result"].update(
         {
@@ -178,10 +169,11 @@ def _factorization_payload(report: dict, fact) -> None:
             "eta2": matrix_payload(fact.eta2.matrix),
         }
     )
-    report["checks"].extend(check_payload(c) for c in fact.checks())
+    report["checks"].extend(check_payload(c) for c in fact.checks)
 
 
 def _witten_payload(wit) -> dict:
+    kernel_complex, kernel_map = wit.checks
     return {
         "d0_plus": wit.d0_plus,
         "d0_minus": wit.d0_minus,
@@ -199,20 +191,28 @@ def _witten_payload(wit) -> dict:
         "non_null_kernels": wit.non_null_kernels,
         "delta_equals_betti": wit.delta_equals_betti,
         "delta_equals_analytic_d": wit.delta_equals_analytic_d,
-        "complex_residual": wit.complex_residual,
-        "kernel_map_residual": wit.kernel_map_residual,
+        "complex_residual": kernel_complex.value,
+        "kernel_map_residual": kernel_map.value,
     }
+
+
+def _square_matrix_file(path):
+    m = parse_matrix_file(path)
+    rows, cols = m.shape
+    if rows != cols:
+        raise UsageError(f"{path} holds a {rows}x{cols} matrix; a square one is needed")
+    return m
 
 
 def _load_eta(path, dim: int, tol: Tolerance) -> EtaOperator:
     if path is None:
         return EtaOperator.identity(dim)
-    return EtaOperator.from_matrix(parse_matrix_file(path), tol)
+    return EtaOperator.from_matrix(_square_matrix_file(path), tol)
 
 
 def cmd_spectrum(args, tol: Tolerance) -> dict:
     report = _base_report("spectrum", {"matrix": file_digest(args.matrix)}, tol)
-    sys_ = decompose(parse_matrix_file(args.matrix), tol)
+    sys_ = decompose(_square_matrix_file(args.matrix), tol)
     cls = classify_spectrum(sys_, tol)
     report["result"] = {
         "tag": cls.tag,
@@ -220,13 +220,13 @@ def cmd_spectrum(args, tol: Tolerance) -> dict:
         "psi": matrix_payload(sys_.psi),
         "phi": matrix_payload(sys_.phi),
     }
-    report["checks"] = [check_payload(c) for c in _biorth_checks(sys_, tol)]
+    report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
     return _finish(report)
 
 
 def cmd_eta(args, tol: Tolerance) -> dict:
     report = _base_report("eta", {"matrix": file_digest(args.matrix)}, tol)
-    h = parse_matrix_file(args.matrix)
+    h = _square_matrix_file(args.matrix)
     sys_ = decompose(h, tol)
     if args.signs is None:
         signs = None
@@ -244,7 +244,7 @@ def cmd_eta(args, tol: Tolerance) -> dict:
     report["result"] = {
         "eta": matrix_payload(eta.matrix),
         "eta_inverse": matrix_payload(eta.inverse),
-        "signs": list(eta.signs.flat) if eta.signs is not None else [],
+        "signs": list(eta.signs.flat),
         "clusters": _cluster_payload(sys_),
     }
     report["checks"] = [check_payload(check)]
@@ -253,7 +253,7 @@ def cmd_eta(args, tol: Tolerance) -> dict:
 
 def cmd_factor(args, tol: Tolerance) -> dict:
     report = _base_report("factor", {"matrix": file_digest(args.matrix)}, tol)
-    sys_ = decompose(parse_matrix_file(args.matrix), tol)
+    sys_ = decompose(_square_matrix_file(args.matrix), tol)
     fact = self_factorization(sys_, tol)
     report["result"]["clusters"] = _cluster_payload(sys_)
     _factorization_payload(report, fact)
@@ -269,13 +269,12 @@ def cmd_intertwine(args, tol: Tolerance) -> dict:
         },
         tol,
     )
-    sys1 = decompose(parse_matrix_file(args.matrix1), tol)
-    sys2 = decompose(parse_matrix_file(args.matrix2), tol)
+    sys1 = decompose(_square_matrix_file(args.matrix1), tol)
+    sys2 = decompose(_square_matrix_file(args.matrix2), tol)
     fact = canonical_factorization(sys1, sys2, tol)
     _factorization_payload(report, fact)
     psys = from_factorization(fact)
-    algebra = verify_algebra(psys, tol)
-    report["checks"].extend(check_payload(c) for c in algebra.checks)
+    report["checks"].extend(check_payload(c) for c in verify_algebra(psys, tol))
     wit = witten_index(psys, tol)
     report["result"]["witten"] = _witten_payload(wit)
     return _finish(report)
@@ -305,13 +304,12 @@ def _susy_inputs(args) -> dict:
 def cmd_psusy(args, tol: Tolerance) -> dict:
     report = _base_report("psusy", _susy_inputs(args), tol)
     psys = _assemble_from_args(args, tol)
-    algebra = verify_algebra(psys, tol)
+    report["checks"] = [check_payload(c) for c in verify_algebra(psys, tol)]
     report["result"] = {
         "h_plus": matrix_payload(psys.h_plus),
         "h_minus": matrix_payload(psys.h_minus),
         "d_sharp": matrix_payload(psys.d_sharp),
     }
-    report["checks"] = [check_payload(c) for c in algebra.checks]
     return _finish(report)
 
 
@@ -324,10 +322,7 @@ def cmd_witten(args, tol: Tolerance) -> dict:
         "plus": wit.non_null_plus,
         "minus": wit.non_null_minus,
     }
-    report["checks"] = [
-        check_payload(ResidualCheck("kernel_complex", wit.complex_residual, wit.guard)),
-        check_payload(ResidualCheck("kernel_map", wit.kernel_map_residual, wit.guard)),
-    ]
+    report["checks"] = [check_payload(c) for c in wit.checks]
     return _finish(report)
 
 
@@ -353,7 +348,7 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
         "psi": matrix_payload(sys_.psi),
         "phi": matrix_payload(sys_.phi),
     }
-    report["checks"] = [check_payload(c) for c in _biorth_checks(sys_, tol)]
+    report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
     _factorization_payload(report, fact)
     return _finish(report)
 

@@ -86,30 +86,29 @@ class Intertwiner:
 class Factorization:
     """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2.
 
-    The residuals are Frobenius norms.
+    `checks` holds the Frobenius residuals of both, `factorization_h1` and
+    `factorization_h2`, against one threshold.
     """
 
     intertwiner: Intertwiner
     eta1: EtaOperator
     eta2: EtaOperator
     lsharp: np.ndarray
-    residual_h1: float
-    residual_h2: float
-    threshold: float
+    checks: tuple[ResidualCheck, ...]
 
     @property
     def matrix(self) -> np.ndarray:
         return self.intertwiner.matrix
 
-    @property
-    def passed(self) -> bool:
-        return max(self.residual_h1, self.residual_h2) <= self.threshold
 
-    def checks(self) -> tuple[ResidualCheck, ResidualCheck]:
-        return (
-            ResidualCheck("factorization_h1", self.residual_h1, self.threshold),
-            ResidualCheck("factorization_h2", self.residual_h2, self.threshold),
-        )
+def _factorization_checks(
+    h1: np.ndarray, h2: np.ndarray, l: np.ndarray, lsharp: np.ndarray, threshold: float
+) -> tuple[ResidualCheck, ...]:
+    """The checks of H1 = L# L and H2 = L L#, both against `threshold`."""
+    return (
+        ResidualCheck("factorization_h1", frobenius_norm(h1 - lsharp @ l), threshold),
+        ResidualCheck("factorization_h2", frobenius_norm(h2 - l @ lsharp), threshold),
+    )
 
 
 def match_spectra(
@@ -308,9 +307,6 @@ def canonical_factorization(
     intertwiner = build_L(pairing, alpha)
     lsharp = pseudo_adjoint(intertwiner.matrix, eta1, eta2)
 
-    h1, h2 = reconstruct(sys1), reconstruct(sys2)
-    residual_h1 = frobenius_norm(h1 - lsharp @ intertwiner.matrix)
-    residual_h2 = frobenius_norm(h2 - intertwiner.matrix @ lsharp)
     cond1 = _cond_lower_bound(sys1)
     cond2 = cond1 if sys2 is sys1 else _cond_lower_bound(sys2)
     threshold = tol.rtol * (1.0 + max(sys1.scale, sys2.scale)) * cond1 * cond2
@@ -319,9 +315,9 @@ def canonical_factorization(
         eta1=eta1,
         eta2=eta2,
         lsharp=lsharp,
-        residual_h1=residual_h1,
-        residual_h2=residual_h2,
-        threshold=threshold,
+        checks=_factorization_checks(
+            reconstruct(sys1), reconstruct(sys2), intertwiner.matrix, lsharp, threshold
+        ),
     )
 
 

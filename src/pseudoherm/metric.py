@@ -70,8 +70,9 @@ class SignAssignment:
 
     @classmethod
     def from_flat(cls, sys: BiorthonormalSystem, flat) -> "SignAssignment":
-        """Distribute a flat sign sequence over real clusters in cluster order."""
-        flat = [int(s) for s in flat]
+        """Distribute flat signs, each exactly +1 or -1 (1.0 and -1.0 too),
+        over real clusters in cluster order."""
+        flat = list(flat)
         real = sys.real_cluster_indices()
         expected = sum(sys.clusters[i].multiplicity for i in real)
         if len(flat) != expected:
@@ -80,6 +81,7 @@ class SignAssignment:
             )
         if any(s not in (-1, 1) for s in flat):
             raise ValueError("signs must be +1 or -1")
+        flat = [1 if s == 1 else -1 for s in flat]
         per = []
         pos = 0
         for i in real:

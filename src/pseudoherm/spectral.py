@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NonDiagonalizable
 from .linalg import (
     DEFAULT_TOLERANCE,
+    ResidualCheck,
     Tolerance,
     as_matrix,
     certified_inverse,
@@ -41,7 +42,6 @@ __all__ = [
     "EigenCluster",
     "BiorthonormalSystem",
     "SpectrumClass",
-    "BiorthonormalityReport",
     "cluster_eigenvalues",
     "decompose",
     "classify_spectrum",
@@ -133,20 +133,6 @@ class BiorthonormalSystem:
 @dataclass(frozen=True)
 class SpectrumClass:
     tag: str
-    detail: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class BiorthonormalityReport:
-    """Frobenius residuals of phi^H psi = I and psi phi^H = I."""
-
-    left_residual: float
-    right_residual: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.left_residual, self.right_residual) <= self.threshold
 
 
 def _near_pairs(values: np.ndarray, ctol: float) -> Iterator[tuple[int, int]]:
@@ -360,27 +346,28 @@ def classify_spectrum(
     Labels were fixed when the system was built; a complex cluster without a
     linked equal-multiplicity partner makes the system Unpairable.
     """
-    detail = tuple(c.kind for c in sys.clusters)
     complex_clusters = [c for c in sys.clusters if c.kind != KIND_REAL]
     if any(c.partner is None for c in complex_clusters):
-        return SpectrumClass(TAG_UNPAIRABLE, detail)
+        return SpectrumClass(TAG_UNPAIRABLE)
     if not complex_clusters:
-        return SpectrumClass(TAG_ALL_REAL, detail)
+        return SpectrumClass(TAG_ALL_REAL)
     if len(complex_clusters) == len(sys.clusters):
-        return SpectrumClass(TAG_CONJUGATE_PAIRED, detail)
-    return SpectrumClass(TAG_MIXED, detail)
+        return SpectrumClass(TAG_CONJUGATE_PAIRED)
+    return SpectrumClass(TAG_MIXED)
 
 
 def verify_biorthonormality(
     sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOLERANCE
-) -> BiorthonormalityReport:
+) -> tuple[ResidualCheck, ...]:
+    """Frobenius residuals of phi^H psi = I (`biorthonormality_left`) and
+    psi phi^H = I (`biorthonormality_right`) against rtol * dim."""
     eye = np.eye(sys.dim)
     left = frobenius_norm(sys.phi.conj().T @ sys.psi - eye)
     right = frobenius_norm(sys.psi @ sys.phi.conj().T - eye)
-    return BiorthonormalityReport(
-        left_residual=left,
-        right_residual=right,
-        threshold=tol.rtol * sys.dim,
+    threshold = tol.rtol * sys.dim
+    return (
+        ResidualCheck("biorthonormality_left", left, threshold),
+        ResidualCheck("biorthonormality_right", right, threshold),
     )
 
 

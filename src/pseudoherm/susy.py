@@ -42,7 +42,6 @@ from .metric import EtaOperator, pseudo_adjoint
 
 __all__ = [
     "PseudoSusySystem",
-    "AlgebraReport",
     "WittenReport",
     "assemble",
     "verify_algebra",
@@ -122,23 +121,13 @@ class PseudoSusySystem:
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
-    checks: tuple[ResidualCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> ResidualCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-@dataclass(frozen=True)
 class WittenReport:
-    """Zero-mode counts, Betti numbers, and the index identities they feed."""
+    """Zero-mode counts, Betti numbers, and the index identities they feed.
+
+    `checks`: `kernel_complex` (the kernel maps composed both ways) and
+    `kernel_map` (D ker(H+), D# ker(H-) outside the kernels), both against
+    the containment guard.
+    """
 
     d0_plus: int
     d0_minus: int
@@ -153,9 +142,7 @@ class WittenReport:
     analytic_index_d: int
     non_null_plus: bool
     non_null_minus: bool
-    complex_residual: float  # Frobenius norms, like every residual
-    kernel_map_residual: float
-    guard: float  # threshold of both residuals above
+    checks: tuple[ResidualCheck, ...]
 
     @property
     def non_null_kernels(self) -> bool:
@@ -185,14 +172,20 @@ def assemble(
 def _graded(
     d: np.ndarray, d_sharp: np.ndarray, eta_plus: EtaOperator, eta_minus: EtaOperator
 ) -> PseudoSusySystem:
-    """The system of D and its pseudo-adjoint D#, with H+ and H- formed."""
+    """The system of D and its pseudo-adjoint D#, with H+ and H- formed;
+    NumericalFailure when H+ or H- is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # decided by the test below
+        h_plus = 0.5 * (d_sharp @ d)
+        h_minus = 0.5 * (d @ d_sharp)
+    if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
+        raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
     return PseudoSusySystem(
         d=d,
         d_sharp=d_sharp,
         eta_plus=eta_plus,
         eta_minus=eta_minus,
-        h_plus=0.5 * (d_sharp @ d),
-        h_minus=0.5 * (d @ d_sharp),
+        h_plus=h_plus,
+        h_minus=h_minus,
     )
 
 
@@ -224,8 +217,8 @@ def verify_algebra(
     psys: PseudoSusySystem,
     tol: Tolerance = DEFAULT_TOLERANCE,
     generators: Sequence[np.ndarray] | None = None,
-) -> AlgebraReport:
-    """Residuals of the graded algebra relations, report-only.
+) -> tuple[ResidualCheck, ...]:
+    """Checks of the graded algebra relations, report-only.
 
     Q^2 = 0, (Q#)^2 = 0, {tau, Q} = 0 and [eta, tau] = 0 hold by the block
     layout and are not checked. The reported relations are evaluated per
@@ -300,7 +293,7 @@ def verify_algebra(
                     tol.rtol * combo_scale[i] * combo_scale[j] * hscale,
                 )
             )
-    return AlgebraReport(tuple(checks))
+    return tuple(checks)
 
 
 def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
@@ -411,9 +404,10 @@ def witten_index(
         analytic_index_d=ker_d - ker_d_dagger,
         non_null_plus=_non_null(k_plus, psys.eta_plus, tol),
         non_null_minus=_non_null(k_minus, psys.eta_minus, tol),
-        complex_residual=complex_residual,
-        kernel_map_residual=kernel_map_residual,
-        guard=guard,
+        checks=(
+            ResidualCheck("kernel_complex", complex_residual, guard),
+            ResidualCheck("kernel_map", kernel_map_residual, guard),
+        ),
     )
 
 

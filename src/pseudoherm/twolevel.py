@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTwoLevel, NonRealDeterminant, NumericalFailure
-from .intertwine import Factorization, Intertwiner, match_spectra
+from .intertwine import Factorization, Intertwiner, _factorization_checks, match_spectra
 from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
@@ -236,17 +236,13 @@ def two_level_factorization(
     pairing = match_spectra(sys, sys, tol)
     intertwiner = Intertwiner(matrix=l, alpha=alpha, pairing=pairing)
     h = params.source_matrix()
-    residual_h1 = frobenius_norm(h - lsharp @ l)
-    residual_h2 = frobenius_norm(h - l @ lsharp)
     threshold = tol.rtol * (1.0 + norm_lower_bound(h)) * sys.psi_cond**2
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,
         eta2=eta2,
         lsharp=lsharp,
-        residual_h1=residual_h1,
-        residual_h2=residual_h2,
-        threshold=threshold,
+        checks=_factorization_checks(h, h, l, lsharp, threshold),
     )
 
 
@@ -276,10 +272,6 @@ class OscillatorReport:
     intertwiner: np.ndarray
     intertwiner_sharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def oscillator_demo(
@@ -354,10 +346,6 @@ class SpinIntertwineReport:
     intertwiner: np.ndarray
     intertwiner_sharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def spin_intertwine_demo(

@@ -172,17 +172,19 @@ def test_criterion_3_factorization_suite(paired_corpus):
         sys1 = decompose(h1)
         sys2 = decompose(h2)
         fact = canonical_factorization(sys1, sys2)
-        if not fact.passed:
+        checks = {c.name: c for c in fact.checks}
+        if not all(c.passed for c in fact.checks):
             failures.append(
-                f"case {k}: residuals ({fact.residual_h1:.2e}, "
-                f"{fact.residual_h2:.2e}) over {fact.threshold:.2e}"
+                f"case {k}: residuals ({checks['factorization_h1'].value:.2e}, "
+                f"{checks['factorization_h2'].value:.2e}) "
+                f"over {checks['factorization_h1'].threshold:.2e}"
             )
             continue
         recon = fact.lsharp @ fact.matrix
         worst = match_value_multisets(
             np.linalg.eigvals(recon), np.linalg.eigvals(h1)
         )
-        if worst > fact.threshold:
+        if worst > checks["factorization_h1"].threshold:
             failures.append(f"case {k}: spectrum deviates by {worst:.2e}")
     _finish(3, "factorization property suite", failures)
 
@@ -299,13 +301,16 @@ def test_criterion_7_two_level_exhaustive():
                 break
         params = TwoLevelParams.from_coefficients(a, b, c)
         sys_ = closed_form_system(params)
-        rep = verify_biorthonormality(sys_)
-        if max(rep.left_residual, rep.right_residual) > 1e-12:
-            failures.append(f"case {k}: biorthonormality {rep.left_residual:.2e}")
+        bio = {c.name: c for c in verify_biorthonormality(sys_)}
+        if max(c.value for c in bio.values()) > 1e-12:
+            left = bio["biorthonormality_left"].value
+            failures.append(f"case {k}: biorthonormality {left:.2e}")
             continue
         fact = two_level_factorization(params)
-        if max(fact.residual_h1, fact.residual_h2) > 1e-12:
-            failures.append(f"case {k}: closed-form residual {fact.residual_h1:.2e}")
+        closed = {c.name: c for c in fact.checks}
+        if max(c.value for c in closed.values()) > 1e-12:
+            residual = closed["factorization_h1"].value
+            failures.append(f"case {k}: closed-form residual {residual:.2e}")
             continue
         h = params.source_matrix()
         generic = self_factorization(decompose(h))
@@ -314,8 +319,9 @@ def test_criterion_7_two_level_exhaustive():
         dls = np.linalg.norm(fact.lsharp - generic.lsharp, 2)
         if dl > 1e-8 * scale or dls > 1e-8 * scale:
             failures.append(f"case {k}: paths disagree ({dl:.2e}, {dls:.2e})")
-        if generic.residual_h1 > 1e-8 * scale:
-            failures.append(f"case {k}: generic residual {generic.residual_h1:.2e}")
+        residual = {c.name: c for c in generic.checks}["factorization_h1"].value
+        if residual > 1e-8 * scale:
+            failures.append(f"case {k}: generic residual {residual:.2e}")
     _finish(7, "two-level exhaustive check", failures)
 
 
@@ -326,7 +332,7 @@ def test_criterion_8_algebra_suite(susy_corpus):
         q = psys.q
         if np.any(q @ q):
             failures.append(f"{label}: Q^2 not exactly zero")
-        for c in verify_algebra(psys).checks:
+        for c in verify_algebra(psys):
             if c.value > 1e-10:
                 failures.append(f"{label}: {c.name} residual {c.value:.2e}")
 

@@ -552,6 +552,38 @@ class TestFiniteReports:
             json.loads(out, parse_constant=_refuse_constant)
 
 
+# every argument that names a file of a square matrix, given a 2x3 one
+NON_SQUARE_ARGVS = [
+    ("spectrum", "rect"),
+    ("eta", "rect"),
+    ("factor", "rect"),
+    ("intertwine", "rect", "h1"),
+    ("intertwine", "h1", "rect"),
+    ("psusy", "d", "--eta-plus", "rect"),
+    ("psusy", "d", "--eta-minus", "rect"),
+    ("witten", "d", "--eta-plus", "rect"),
+    ("witten", "d", "--eta-minus", "rect"),
+]
+
+
+class TestUnusableMatrices:
+    @pytest.mark.parametrize(
+        "argv", NON_SQUARE_ARGVS, ids=lambda argv: "-".join(a.strip("-") for a in argv)
+    )
+    def test_non_square_file_exits_two(self, capsys, command_files, tmp_path, argv):
+        rect = write_matrix(tmp_path / "rect.json", np.ones((2, 3)))
+        files = dict(command_files, rect=rect)
+        assert main([files.get(a, a) for a in argv]) == 2
+        assert f"{rect} holds a 2x3 matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["psusy", "witten"])
+    def test_overflowing_partners_give_an_error_report(self, capsys, tmp_path, command):
+        d = write_matrix(tmp_path / "d.json", np.full((2, 2), 1e300))
+        code, out = run(capsys, command, d)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NumericalFailure"
+
+
 class TestPayloads:
     """Array-built payloads equal the per-entry complex_pair construction."""
 

@@ -171,7 +171,7 @@ class TestCanonicalFactorization:
         assert np.allclose(fact.matrix, np.diag([np.sqrt(2), np.sqrt(3)]), atol=1e-12)
         assert np.allclose(fact.lsharp, np.diag([np.sqrt(2), -np.sqrt(3)]), atol=1e-12)
         assert np.allclose(fact.lsharp @ fact.matrix, np.diag([2.0, -3.0]), atol=1e-12)
-        assert fact.passed
+        assert all(c.passed for c in fact.checks)
 
     def test_oscillator_self_reduction(self):
         # real E: L collapses to sqrt(E) times the identity
@@ -191,8 +191,7 @@ class TestCanonicalFactorization:
         lsharp_expected = root * np.array([[2.0, 1j], [-4j, -2.0]])
         assert np.allclose(fact.matrix, l_expected, atol=1e-12)
         assert np.allclose(fact.lsharp, lsharp_expected, atol=1e-12)
-        assert fact.residual_h1 <= 1e-10
-        assert fact.residual_h2 <= 1e-10
+        assert all(c.value <= 1e-10 for c in fact.checks)
 
     def test_spin_side_metric_is_identity(self):
         osc = closed_form_system(TwoLevelParams.from_coefficients(0, 1j, -4j))
@@ -206,7 +205,7 @@ class TestCanonicalFactorization:
         n = int(rng.integers(2, 9))
         sys1, sys2 = isospectral_pair(rng, n)
         fact = canonical_factorization(sys1, sys2)
-        assert fact.passed, (fact.residual_h1, fact.residual_h2, fact.threshold)
+        assert all(c.passed for c in fact.checks), fact.checks
 
     def test_spectrum_through_factorization(self):
         rng = np.random.default_rng(42)
@@ -217,7 +216,7 @@ class TestCanonicalFactorization:
         worst = match_value_multisets(
             np.linalg.eigvals(recon), np.linalg.eigvals(h1)
         )
-        assert worst <= fact.threshold
+        assert worst <= {c.name: c for c in fact.checks}["factorization_h1"].threshold
 
     def test_unpairable_refused(self):
         sys = decompose(np.diag([1.0, 2 + 3j]))
@@ -259,14 +258,15 @@ class TestSelfFactorization:
         h = matrix_with_spectrum([1.0, -1.0, 2 + 1j, 2 - 1j, 3.0, 3.0], rng)
         sys = decompose(h)
         fact = self_factorization(sys)
-        assert fact.residual_h1 <= 1e-8 * (1 + np.linalg.norm(h, 2)) * sys.psi_cond**2
+        h1 = {c.name: c for c in fact.checks}["factorization_h1"]
+        assert h1.value <= 1e-8 * (1 + np.linalg.norm(h, 2)) * sys.psi_cond**2
 
     def test_zero_cluster_dropped_from_l(self):
         rng = np.random.default_rng(12)
         h = matrix_with_spectrum([0.0, 0.0, 1.0, -2.0], rng)
         sys = decompose(h)
         fact = self_factorization(sys)
-        assert fact.passed
+        assert all(c.passed for c in fact.checks)
         zero_idx = next(
             i for i in range(len(sys.clusters)) if sys.is_zero_cluster(i)
         )
@@ -281,7 +281,7 @@ class TestRectangular:
         sys2 = decompose(matrix_with_spectrum([0.0, 1.0, 2.0], rng))
         fact = canonical_factorization(sys1, sys2)
         assert fact.matrix.shape == (3, 4)
-        assert fact.passed
+        assert all(c.passed for c in fact.checks)
 
     def test_intertwining_for_rectangular(self):
         rng = np.random.default_rng(14)

@@ -161,6 +161,13 @@ class TestSignAssignment:
         with pytest.raises(ValueError):
             SignAssignment.from_flat(sys, [1, 2])
 
+    def test_non_integer_entry_rejected(self):
+        sys = decompose(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            SignAssignment.from_flat(sys, [1.5, -1.7])
+        flat = SignAssignment.from_flat(sys, [1.0, -1.0]).flat
+        assert flat == (1, -1) and all(type(s) is int for s in flat)
+
 
 class TestEtaFromM:
     def test_identity_blocks_match_canonical(self):

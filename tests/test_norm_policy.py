@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoherm.intertwine import canonical_factorization, verify_intertwining
-from pseudoherm.linalg import DEFAULT_TOLERANCE, kernel_basis, norm_lower_bound
+from pseudoherm.linalg import DEFAULT_TOLERANCE, ResidualCheck, kernel_basis, norm_lower_bound
 from pseudoherm.metric import verify_pseudo_hermiticity
 from pseudoherm.spectral import decompose, reconstruct, verify_biorthonormality
 from pseudoherm.susy import from_factorization, verify_algebra, witten_index
@@ -46,25 +46,20 @@ def pipeline(h1, h2, tol=DEFAULT_TOLERANCE):
     fact = canonical_factorization(sys1, sys2, tol)
     psys = from_factorization(fact)
     generators = [psys.d, 1j * psys.d]
-    checks = []
-    for k, sys in enumerate((sys1, sys2), 1):
-        bio = verify_biorthonormality(sys, tol)
-        checks += [
-            (f"bio{k}_left", bio.left_residual, bio.threshold),
-            (f"bio{k}_right", bio.right_residual, bio.threshold),
-        ]
-    checks += [(c.name, c.value, c.threshold) for c in fact.checks()]
-    for k, (h, eta) in enumerate(((h1, fact.eta1), (h2, fact.eta2)), 1):
-        c = verify_pseudo_hermiticity(h, eta, tol)
-        checks.append((f"{c.name}{k}", c.value, c.threshold))
-    c = verify_intertwining(fact.matrix, h1, h2, tol)
-    checks.append((c.name, c.value, c.threshold))
-    alg = verify_algebra(psys, tol, generators=generators)
-    checks += [(c.name, c.value, c.threshold) for c in alg.checks]
-    wit = witten_index(psys, tol)
-    checks += [
-        ("kernel_map", wit.kernel_map_residual, wit.guard),
-        ("complex", wit.complex_residual, wit.guard),
+    results = [
+        verify_biorthonormality(sys1, tol),
+        verify_biorthonormality(sys2, tol),
+        fact.checks,
+        verify_pseudo_hermiticity(h1, fact.eta1, tol),
+        verify_pseudo_hermiticity(h2, fact.eta2, tol),
+        verify_intertwining(fact.matrix, h1, h2, tol),
+        verify_algebra(psys, tol, generators=generators),
+        witten_index(psys, tol).checks,
+    ]
+    checks = [
+        (c.name, c.value, c.threshold)
+        for result in results
+        for c in ((result,) if isinstance(result, ResidualCheck) else result)
     ]
     return checks, (sys1, sys2, fact, psys, generators)
 
@@ -74,21 +69,22 @@ def reference(h1, h2, sys1, sys2, fact, psys, generators, value, pair, scale):
     two sector blocks) and threshold scale `scale`."""
     tol = DEFAULT_TOLERANCE
     checks = []
-    for k, sys in enumerate((sys1, sys2), 1):
-        eye = np.eye(sys.dim)
+    for sys in (sys1, sys2):
+        eye, threshold = np.eye(sys.dim), tol.rtol * sys.dim
         checks += [
-            (f"bio{k}_left", value(sys.phi.conj().T @ sys.psi - eye), tol.rtol * sys.dim),
-            (f"bio{k}_right", value(sys.psi @ sys.phi.conj().T - eye), tol.rtol * sys.dim),
+            ("biorthonormality_left", value(sys.phi.conj().T @ sys.psi - eye), threshold),
+            ("biorthonormality_right", value(sys.psi @ sys.phi.conj().T - eye), threshold),
         ]
     l, ls = fact.matrix, fact.lsharp
+    threshold = fact.checks[0].threshold
     checks += [
-        ("factorization_h1", value(reconstruct(sys1) - ls @ l), fact.threshold),
-        ("factorization_h2", value(reconstruct(sys2) - l @ ls), fact.threshold),
+        ("factorization_h1", value(reconstruct(sys1) - ls @ l), threshold),
+        ("factorization_h2", value(reconstruct(sys2) - l @ ls), threshold),
     ]
-    for k, (h, eta) in enumerate(((h1, fact.eta1), (h2, fact.eta2)), 1):
+    for h, eta in ((h1, fact.eta1), (h2, fact.eta2)):
         residual = value(eta.matrix @ h @ eta.inverse - h.conj().T)
         threshold = tol.rtol * (1 + scale(h)) * scale(eta.matrix) * scale(eta.inverse)
-        checks.append((f"pseudo_hermiticity{k}", residual, threshold))
+        checks.append(("pseudo_hermiticity", residual, threshold))
     checks.append((
         "intertwining",
         value(l @ h1 - h2 @ l),
@@ -132,8 +128,8 @@ def reference(h1, h2, sys1, sys2, fact, psys, generators, value, pair, scale):
     d0f = kp.conj().T @ ds @ km
     guard = max(tol.atol, tol.rtol * max(d.shape) * (1 + scale(d) + scale(ds)))
     checks += [
+        ("kernel_complex", max(value(d0 @ d0f), value(d0f @ d0)), guard),
         ("kernel_map", max(value(d @ kp - km @ d0), value(ds @ km - kp @ d0f)), guard),
-        ("complex", max(value(d0 @ d0f), value(d0f @ d0)), guard),
     ]
     return checks
 

@@ -130,26 +130,25 @@ class TestClassify:
 class TestBiorthonormality:
     def test_identity_system(self):
         sys = decompose(np.eye(3) * 2.0)
-        rep = verify_biorthonormality(sys)
-        assert rep.left_residual < 1e-14
-        assert rep.right_residual < 1e-14
-        assert rep.passed
+        checks = verify_biorthonormality(sys)
+        assert [c.name for c in checks] == ["biorthonormality_left", "biorthonormality_right"]
+        assert all(c.value < 1e-14 and c.passed for c in checks)
 
     def test_oscillator_closed_forms(self):
         from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 
         params = TwoLevelParams.from_coefficients(0, 1j, -4j)
-        rep = verify_biorthonormality(closed_form_system(params))
-        assert max(rep.left_residual, rep.right_residual) <= 1e-12
+        checks = verify_biorthonormality(closed_form_system(params))
+        assert all(c.value <= 1e-12 for c in checks)
 
     def test_perturbed_phi_fails(self):
         rng = np.random.default_rng(1)
         sys = decompose(random_paired_hamiltonian(rng, 4))
         noise = 1e-3 * (rng.standard_normal(sys.phi.shape))
         sys.phi = sys.phi + noise
-        rep = verify_biorthonormality(sys)
-        assert rep.left_residual == pytest.approx(1e-3, rel=5)
-        assert not rep.passed
+        left = {c.name: c for c in verify_biorthonormality(sys)}["biorthonormality_left"]
+        assert left.value == pytest.approx(1e-3, rel=5)
+        assert not left.passed
 
 
 class TestReconstruct:

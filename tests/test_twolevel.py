@@ -100,8 +100,7 @@ class TestClosedFormSystem:
         sys = closed_form_system(params)
         assert np.allclose(sys.psi[:, 0], [0.0, 2.0])
         assert np.allclose(sys.psi[:, 1], [2.0, 0.0])
-        rep = verify_biorthonormality(sys)
-        assert max(rep.left_residual, rep.right_residual) <= 1e-14
+        assert all(c.value <= 1e-14 for c in verify_biorthonormality(sys))
 
     def test_imaginary_case_cluster_order(self):
         params = TwoLevelParams.from_coefficients(0.0, 1.0, -4.0)
@@ -114,8 +113,7 @@ class TestClosedFormSystem:
         params = TwoLevelParams.from_coefficients(-1.0, 0.0, 5.0)
         assert params.rotations == 1
         sys = closed_form_system(params)
-        rep = verify_biorthonormality(sys)
-        assert max(rep.left_residual, rep.right_residual) <= 1e-12
+        assert all(c.value <= 1e-12 for c in verify_biorthonormality(sys))
         original = np.array([[-1.0, 0.0], [5.0, 1.0]])
         assert np.allclose(reconstruct(sys), original, atol=1e-12)
 
@@ -124,8 +122,7 @@ class TestClosedFormSystem:
         params = TwoLevelParams.from_coefficients(-1.0, -2.0, 0.0)
         assert params.rotations == 2
         sys = closed_form_system(params)
-        rep = verify_biorthonormality(sys)
-        assert max(rep.left_residual, rep.right_residual) <= 1e-12
+        assert all(c.value <= 1e-12 for c in verify_biorthonormality(sys))
         assert np.allclose(
             reconstruct(sys), np.array([[-1.0, -2.0], [0.0, 1.0]]), atol=1e-12
         )
@@ -200,8 +197,9 @@ class TestTwoLevelFactorization:
         scale = 1.0 + np.linalg.norm(h, 2)
         assert np.linalg.norm(fact_closed.matrix - fact_generic.matrix, 2) <= 1e-8 * scale
         assert np.linalg.norm(fact_closed.lsharp - fact_generic.lsharp, 2) <= 1e-8 * scale
-        assert fact_closed.residual_h1 <= 1e-12 * scale
-        assert fact_generic.residual_h1 <= 1e-8 * scale
+        assert fact_closed.checks[0].name == fact_generic.checks[0].name == "factorization_h1"
+        assert fact_closed.checks[0].value <= 1e-12 * scale
+        assert fact_generic.checks[0].value <= 1e-8 * scale
 
 
 class TestOscillatorDemo:
@@ -220,7 +218,7 @@ class TestOscillatorDemo:
         assert np.allclose(
             demo.intertwiner_sharp, oscillator_hamiltonian(2.0) / np.sqrt(2.0)
         )
-        assert demo.passed
+        assert all(c.passed for c in demo.checks)
 
     def test_golden_omega_one(self):
         demo = oscillator_demo(1.0)
@@ -265,7 +263,7 @@ class TestSpinIntertwineDemo:
         assert np.allclose(
             demo.intertwiner_sharp, root * np.array([[2.0, 1j], [-4j, -2.0]])
         )
-        assert demo.passed
+        assert all(c.passed for c in demo.checks)
 
     def test_omega_one_product(self):
         demo = spin_intertwine_demo(1.0)
