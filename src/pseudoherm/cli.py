@@ -30,7 +30,7 @@ from .report import (
     vector_payload,
 )
 from .spectral import classify_spectrum, decompose, verify_biorthonormality
-from .susy import assemble, from_factorization, verify_algebra, witten_index
+from .susy import assemble, from_factorization, witten_index
 from .twolevel import (
     TwoLevelParams,
     closed_form_system,
@@ -173,7 +173,7 @@ def _factorization_payload(report: dict, fact) -> None:
 
 
 def _witten_payload(wit) -> dict:
-    kernel_complex, kernel_map = wit.checks
+    (kernel_complex,) = wit.checks
     return {
         "d0_plus": wit.d0_plus,
         "d0_minus": wit.d0_minus,
@@ -184,15 +184,12 @@ def _witten_payload(wit) -> dict:
         "ker_d0_flat": wit.ker_d0_flat,
         "betti_plus": wit.betti_plus,
         "betti_minus": wit.betti_minus,
-        "analytic_index_sigma": wit.analytic_index_sigma,
         "analytic_index_d": wit.analytic_index_d,
         "non_null_plus": wit.non_null_plus,
         "non_null_minus": wit.non_null_minus,
         "non_null_kernels": wit.non_null_kernels,
-        "delta_equals_betti": wit.delta_equals_betti,
         "delta_equals_analytic_d": wit.delta_equals_analytic_d,
         "complex_residual": kernel_complex.value,
-        "kernel_map_residual": kernel_map.value,
     }
 
 
@@ -273,9 +270,7 @@ def cmd_intertwine(args, tol: Tolerance) -> dict:
     sys2 = decompose(_square_matrix_file(args.matrix2), tol)
     fact = canonical_factorization(sys1, sys2, tol)
     _factorization_payload(report, fact)
-    psys = from_factorization(fact)
-    report["checks"].extend(check_payload(c) for c in verify_algebra(psys, tol))
-    wit = witten_index(psys, tol)
+    wit = witten_index(from_factorization(fact), tol)
     report["result"]["witten"] = _witten_payload(wit)
     return _finish(report)
 
@@ -304,7 +299,6 @@ def _susy_inputs(args) -> dict:
 def cmd_psusy(args, tol: Tolerance) -> dict:
     report = _base_report("psusy", _susy_inputs(args), tol)
     psys = _assemble_from_args(args, tol)
-    report["checks"] = [check_payload(c) for c in verify_algebra(psys, tol)]
     report["result"] = {
         "h_plus": matrix_payload(psys.h_plus),
         "h_minus": matrix_payload(psys.h_minus),
@@ -318,10 +312,6 @@ def cmd_witten(args, tol: Tolerance) -> dict:
     psys = _assemble_from_args(args, tol)
     wit = witten_index(psys, tol)
     report["result"] = _witten_payload(wit)
-    report["result"]["null_check"] = {
-        "plus": wit.non_null_plus,
-        "minus": wit.non_null_minus,
-    }
     report["checks"] = [check_payload(c) for c in wit.checks]
     return _finish(report)
 

@@ -2,21 +2,23 @@
 
 A map D from the plus sector to the minus sector, together with metrics
 eta_plus/eta_minus, generates partner Hamiltonians H+ = D# D / 2 and
-H- = D D# / 2. The graded system is stored as these sector matrices only;
-the grading tau = diag(I, -I), the nilpotent supercharge Q = [[0, 0], [D, 0]],
-its adjoint Q# = [[0, D#], [0, 0]], the block Hamiltonian H = diag(H+, H-)
-and the block metric are built on access. Q^2 = 0, (Q#)^2 = 0,
-{tau, Q} = 0 and [eta, tau] = 0 hold by that layout, so only the relations
-between sector matrices are checked. The Witten index counts zero modes of
-the partners and is re-derived two independent ways (Betti numbers of the
-kernel complex, and the analytic index of D when no kernel vector is
-metric-null).
+H- = D D# / 2. The graded system stores D, D# and the metrics, and forms
+H+ and H- from them once, so they cannot get out of step. In block form the
+grading is tau = diag(I, -I), the nilpotent supercharge Q = [[0, 0], [D, 0]],
+its adjoint Q# = [[0, D#], [0, 0]], the Hamiltonian H = diag(H+, H-) and the
+metric diag(eta_plus, eta_minus); no block matrix is built. Q^2 = 0,
+(Q#)^2 = 0, {tau, Q} = 0 and [eta, tau] = 0 hold by that layout, and
+{Q, Q#} = 2H and [Q, H] = 0 by the definition of H+ and H-, so none of
+them is checked. What can fail is reported: the extended algebra of
+caller-supplied generators, and the Witten index, which counts zero modes of
+the partners, with the kernel complex it is read from and whether it equals
+the analytic index of D (expected when no kernel vector is metric-null).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Sequence
@@ -50,21 +52,31 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PseudoSusySystem:
-    """Sector matrices of the graded system generated by D.
+    """The graded system generated by D: plus sector -> minus sector.
 
-    The (n+m)-sized block matrices `tau`, `q`, `q_sharp`, `h`, `eta` and
-    `eta_inv` are read-only views built anew on each access; nothing in the
-    library reads them.
+    D, D# and the two metrics are its data. H+ = D# D / 2 and H- = D D# / 2
+    are formed from them at construction (NumericalFailure when either is not
+    finite) and are neither arguments nor assignable, so
+    `dataclasses.replace` that changes D or D# forms them anew.
     """
 
     d: np.ndarray
     d_sharp: np.ndarray
     eta_plus: EtaOperator
     eta_minus: EtaOperator
-    h_plus: np.ndarray
-    h_minus: np.ndarray
+    h_plus: np.ndarray = field(init=False)
+    h_minus: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # decided by the test below
+            h_plus = 0.5 * (self.d_sharp @ self.d)
+            h_minus = 0.5 * (self.d @ self.d_sharp)
+        if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
+            raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
+        object.__setattr__(self, "h_plus", h_plus)
+        object.__setattr__(self, "h_minus", h_minus)
 
     @cached_property
     def d_norm(self) -> float:
@@ -85,48 +97,20 @@ class PseudoSusySystem:
     def dim_minus(self) -> int:
         return self.eta_minus.dim
 
-    def _blocks(self, plus=0.0, upper=0.0, lower=0.0, minus=0.0) -> np.ndarray:
-        """[[plus, upper], [lower, minus]] as one dense matrix."""
-        p = self.dim_plus
-        out = np.zeros((p + self.dim_minus,) * 2, dtype=complex)
-        out[:p, :p] = plus
-        out[:p, p:] = upper
-        out[p:, :p] = lower
-        out[p:, p:] = minus
-        return out
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self._blocks(plus=np.eye(self.dim_plus), minus=-np.eye(self.dim_minus))
-
-    @property
-    def q(self) -> np.ndarray:
-        return self._blocks(lower=self.d)
-
-    @property
-    def q_sharp(self) -> np.ndarray:
-        return self._blocks(upper=self.d_sharp)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._blocks(plus=self.h_plus, minus=self.h_minus)
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self._blocks(plus=self.eta_plus.matrix, minus=self.eta_minus.matrix)
-
-    @property
-    def eta_inv(self) -> np.ndarray:
-        return self._blocks(plus=self.eta_plus.inverse, minus=self.eta_minus.inverse)
-
 
 @dataclass(frozen=True)
 class WittenReport:
-    """Zero-mode counts, Betti numbers, and the index identities they feed.
+    """Zero-mode counts, Betti numbers, and the index identity they feed.
 
-    `checks`: `kernel_complex` (the kernel maps composed both ways) and
-    `kernel_map` (D ker(H+), D# ker(H-) outside the kernels), both against
-    the containment guard.
+    delta = d0_plus - d0_minus equals betti_plus - betti_minus by
+    construction, and `analytic_index_d` = ker_d - ker_d_dagger equals
+    dim_plus - dim_minus by rank-nullity; `delta_equals_analytic_d` is the
+    index theorem, expected whenever `non_null_kernels` holds.
+
+    `checks`: `kernel_complex` (the kernel maps composed both ways) against
+    the containment guard. `witten_index` raises NumericalFailure instead of
+    returning when D ker(H+) or D# ker(H-) leaves the kernels by more than
+    that guard.
     """
 
     d0_plus: int
@@ -138,7 +122,6 @@ class WittenReport:
     ker_d0_flat: int
     betti_plus: int
     betti_minus: int
-    analytic_index_sigma: int
     analytic_index_d: int
     non_null_plus: bool
     non_null_minus: bool
@@ -147,10 +130,6 @@ class WittenReport:
     @property
     def non_null_kernels(self) -> bool:
         return self.non_null_plus and self.non_null_minus
-
-    @property
-    def delta_equals_betti(self) -> bool:
-        return self.delta == self.analytic_index_sigma
 
     @property
     def delta_equals_analytic_d(self) -> bool:
@@ -166,27 +145,7 @@ def assemble(
     any other shape raises ValueError.
     """
     d = as_matrix(d)
-    return _graded(d, pseudo_adjoint(d, eta_plus, eta_minus), eta_plus, eta_minus)
-
-
-def _graded(
-    d: np.ndarray, d_sharp: np.ndarray, eta_plus: EtaOperator, eta_minus: EtaOperator
-) -> PseudoSusySystem:
-    """The system of D and its pseudo-adjoint D#, with H+ and H- formed;
-    NumericalFailure when H+ or H- is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # decided by the test below
-        h_plus = 0.5 * (d_sharp @ d)
-        h_minus = 0.5 * (d @ d_sharp)
-    if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
-        raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
-    return PseudoSusySystem(
-        d=d,
-        d_sharp=d_sharp,
-        eta_plus=eta_plus,
-        eta_minus=eta_minus,
-        h_plus=h_plus,
-        h_minus=h_minus,
-    )
+    return PseudoSusySystem(d, pseudo_adjoint(d, eta_plus, eta_minus), eta_plus, eta_minus)
 
 
 def _sector_residual(plus: np.ndarray, minus: np.ndarray) -> float:
@@ -208,91 +167,69 @@ def _scale(m: np.ndarray) -> float:
     return norm_lower_bound(m)
 
 
-def _sector_scale(plus: np.ndarray, minus: np.ndarray) -> float:
-    """`norm_lower_bound` of diag(plus, minus), at most its 2-norm."""
-    return max(_scale(plus), _scale(minus))
-
-
 def verify_algebra(
     psys: PseudoSusySystem,
     tol: Tolerance = DEFAULT_TOLERANCE,
     generators: Sequence[np.ndarray] | None = None,
 ) -> tuple[ResidualCheck, ...]:
-    """Checks of the graded algebra relations, report-only.
+    """Checks of the extended algebra of `generators`, report-only.
 
-    Q^2 = 0, (Q#)^2 = 0, {tau, Q} = 0 and [eta, tau] = 0 hold by the block
-    layout and are not checked. The reported relations are evaluated per
-    sector: {Q, Q#} - 2H is block diagonal (`susy_anticommutator`), [Q, H]
-    has the single block D H+ - H- D (`intertwine_plus`) and [Q#, H] the
-    single block D# H- - H+ D# (`intertwine_minus`). Every value is a
-    Frobenius norm (of both sector blocks together where there are two).
-    The threshold scales are `norm_lower_bound`s: ||Q|| = ||D||,
-    ||Q#|| = ||D#||, and ||H|| is the larger of the two sector bounds.
+    The relations of the system's own Q, Q# and H hold by construction (see
+    the module docstring), so without `generators` there is nothing to check
+    and the result is empty.
 
-    With `generators` (a list of D-like maps sharing the metrics), the
-    extended algebra is checked: {Q_i, Q_j#} = 2 delta_ij H (`extended`),
-    plus the same relation for the associated pseudo-Hermitian combinations
-    Q1 = (Q + Q#)/sqrt(2), Q2 = (Q - Q#)/(sqrt(2) i), which obey
-    {Qa_i, Qb_j} = 2 delta_ij delta_ab H (`hermitian_combo`). With
-    A_ij = {Q_i, Q_j#} = diag(D_j# D_i, D_i D_j#), every combination
-    relation is (A_ij + A_ji)/2 or +-(A_ij - A_ji)/(2i), and
-    ||Q1_i|| = ||Q2_i|| = max(||D_i||, ||D_i#||)/sqrt(2).
+    `generators` is a list of D-like maps sharing the metrics; each D_i# is
+    rebuilt from the metrics, so even D_1 = psys.d can fail when psys.d_sharp
+    is not its pseudo-adjoint. The relations {Q_i, Q_j#} = 2 delta_ij H
+    (`extended[i,j]`) are checked, with A_ij = {Q_i, Q_j#} =
+    diag(D_j# D_i, D_i D_j#). So are those of the associated pseudo-Hermitian
+    combinations Q1 = (Q + Q#)/sqrt(2), Q2 = (Q - Q#)/(sqrt(2) i), which obey
+    {Qa_i, Qb_j} = 2 delta_ij delta_ab H (`hermitian_combo[i.a,j.b]`). With
+    R_ij = A_ij - 2 delta_ij H, the relation for a = b is (R_ij + R_ji)/2
+    for both a, and {Q1_i, Q2_j} = -{Q2_i, Q1_j} = (R_ji - R_ij)/(2i), which
+    is 0 for i = j. So only `[i.1,j.1]` for all i, j and `[i.1,j.2]` for
+    i != j are distinct, and only they are reported.
+
+    Every value is a Frobenius norm (of both sector blocks together). The
+    threshold scales are `norm_lower_bound`s: ||Q_i|| = ||D_i||,
+    ||Q_i#|| = ||D_i#||, ||Q1_i|| = ||Q2_i|| = max(||D_i||, ||D_i#||)/sqrt(2),
+    and ||H|| is the larger of the two sector bounds.
     """
-    d, ds, hp, hm = psys.d, psys.d_sharp, psys.h_plus, psys.h_minus
-    qscale = 1.0 + psys.d_norm
-    qsscale = 1.0 + psys.d_sharp_norm
-    hscale = 1.0 + _sector_scale(hp, hm)
+    if generators is None:
+        return ()
+    hp, hm = psys.h_plus, psys.h_minus
+    hscale = 1.0 + max(_scale(hp), _scale(hm))
+    maps = [
+        (g, pseudo_adjoint(g, psys.eta_plus, psys.eta_minus))
+        for g in map(as_matrix, generators)
+    ]
+    norms = [(_scale(g), _scale(gs)) for g, gs in maps]
+    # sector blocks of R_ij = {Q_i, Q_j#} - 2 delta_ij H
+    res = {}
+    for (i, (g, _)), (j, (_, gs)) in product(enumerate(maps), repeat=2):
+        shift = 2.0 if i == j else 0.0
+        res[i, j] = (gs @ g - shift * hp, g @ gs - shift * hm)
     checks = [
         ResidualCheck(
-            "susy_anticommutator",
-            _sector_residual(ds @ d - 2.0 * hp, d @ ds - 2.0 * hm),
-            tol.rtol * qscale * qsscale,
-        ),
-        ResidualCheck(
-            "intertwine_plus",
-            frobenius_norm(d @ hp - hm @ d),
-            tol.rtol * qscale * hscale,
-        ),
-        ResidualCheck(
-            "intertwine_minus",
-            frobenius_norm(ds @ hm - hp @ ds),
-            tol.rtol * qsscale * hscale,
-        ),
+            f"extended[{i + 1},{j + 1}]",
+            _sector_residual(*res[i, j]),
+            tol.rtol * (1.0 + norms[i][0]) * (1.0 + norms[j][1]) * hscale,
+        )
+        for i, j in res
     ]
-
-    if generators is not None:
-        maps = [
-            (g, pseudo_adjoint(g, psys.eta_plus, psys.eta_minus))
-            for g in map(as_matrix, generators)
-        ]
-        norms = [(_scale(g), _scale(gs)) for g, gs in maps]
-        # sector blocks of R_ij = {Q_i, Q_j#} - 2 delta_ij H, where
-        # {Q_i, Q_j#} = diag(D_j# D_i, D_i D_j#)
-        res = {}
-        for (i, (g, _)), (j, (_, gs)) in product(enumerate(maps), repeat=2):
-            shift = 2.0 if i == j else 0.0
-            res[i, j] = (gs @ g - shift * hp, g @ gs - shift * hm)
-        for i, j in res:
-            checks.append(
-                ResidualCheck(
-                    f"extended[{i + 1},{j + 1}]",
-                    _sector_residual(*res[i, j]),
-                    tol.rtol * (1.0 + norms[i][0]) * (1.0 + norms[j][1]) * hscale,
-                )
+    combo_scale = [1.0 + max(n) / np.sqrt(2.0) for n in norms]
+    for i, j, b in product(range(len(maps)), range(len(maps)), (1, 2)):
+        if b == 2 and i == j:
+            continue
+        (pij, mij), (pji, mji) = res[i, j], res[j, i]
+        sign = 1.0 if b == 1 else -1.0
+        checks.append(
+            ResidualCheck(
+                f"hermitian_combo[{i + 1}.1,{j + 1}.{b}]",
+                0.5 * _sector_residual(pij + sign * pji, mij + sign * mji),
+                tol.rtol * combo_scale[i] * combo_scale[j] * hscale,
             )
-        # {Qa_i, Qa_j} - 2 delta_ij H = (R_ij + R_ji)/2 and
-        # {Q1_i, Q2_j} = -{Q2_i, Q1_j} = (R_ji - R_ij)/(2i)
-        combo_scale = [1.0 + max(n) / np.sqrt(2.0) for n in norms]
-        for i, a, j, b in product(range(len(maps)), (1, 2), range(len(maps)), (1, 2)):
-            (pij, mij), (pji, mji) = res[i, j], res[j, i]
-            sign = 1.0 if a == b else -1.0
-            checks.append(
-                ResidualCheck(
-                    f"hermitian_combo[{i + 1}.{a},{j + 1}.{b}]",
-                    0.5 * _sector_residual(pij + sign * pji, mij + sign * mji),
-                    tol.rtol * combo_scale[i] * combo_scale[j] * hscale,
-                )
-            )
+        )
     return tuple(checks)
 
 
@@ -400,14 +337,10 @@ def witten_index(
         ker_d0_flat=ker_d0_flat,
         betti_plus=betti_plus,
         betti_minus=betti_minus,
-        analytic_index_sigma=betti_plus - betti_minus,
         analytic_index_d=ker_d - ker_d_dagger,
         non_null_plus=_non_null(k_plus, psys.eta_plus, tol),
         non_null_minus=_non_null(k_minus, psys.eta_minus, tol),
-        checks=(
-            ResidualCheck("kernel_complex", complex_residual, guard),
-            ResidualCheck("kernel_map", kernel_map_residual, guard),
-        ),
+        checks=(ResidualCheck("kernel_complex", complex_residual, guard),),
     )
 
 
@@ -418,4 +351,4 @@ def from_factorization(fact: Factorization) -> PseudoSusySystem:
     H- = L L#. D# = sqrt(2) L#, from the L# the factorization already holds.
     """
     root2 = np.sqrt(2.0)
-    return _graded(root2 * fact.matrix, root2 * fact.lsharp, fact.eta1, fact.eta2)
+    return PseudoSusySystem(root2 * fact.matrix, root2 * fact.lsharp, fact.eta1, fact.eta2)

@@ -9,6 +9,7 @@ spin-half golden reference reports.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,16 @@ class TwoLevelParams:
         cls, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE
     ) -> "TwoLevelParams":
         a, b, c = complex(a), complex(b), complex(c)
+        if not all(map(cmath.isfinite, (a, b, c))):
+            raise ValueError(f"coefficients must be finite, got {(a, b, c)}")
         scale = spectral_norm(np.array([[a, b], [c, -a]]))
         e = _principal_root(a * a + b * c)
         # rounding can leave a sliver of real part on the imaginary axis;
         # resolve the branch there with the same tolerance the cases use
         if abs(e.real) <= tol.atol * (1.0 + abs(e)) and e.imag < 0:
             e = -e
+        if not cmath.isfinite(e):
+            raise NumericalFailure(f"E = sqrt(a^2 + bc) = {e} is not finite")
         thr = tol.cluster_tol(scale)
         if abs(e) <= thr:
             raise DegenerateTwoLevel(
@@ -110,12 +115,15 @@ class TwoLevelParams:
             rotations += 1
         if abs(a + e) <= thr:
             raise NumericalFailure("basis rotation failed to resolve a + E = 0")
+        n = 2.0 * e * (a + e)
+        if not cmath.isfinite(n):
+            raise NumericalFailure(f"n = 2E(a + E) = {n} is not finite")
         return cls(
             a=a,
             b=b,
             c=c,
             e=e,
-            n=2.0 * e * (a + e),
+            n=n,
             basis=basis,
             rotations=rotations,
             scale=scale,
@@ -140,7 +148,7 @@ def normalize_traceless(
     h = as_matrix(h, square=True)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    shift = complex(np.trace(h) / 2.0)
+    shift = complex(h[0, 0] / 2.0 + h[1, 1] / 2.0)  # halves first: no overflow
     params = TwoLevelParams.from_coefficients(
         h[0, 0] - shift, h[0, 1], h[1, 0], tol
     )

@@ -15,7 +15,7 @@ from pseudoherm.cli import (
     emit_report,
     main,
 )
-from pseudoherm.errors import UsageError
+from pseudoherm.errors import NumericalFailure, UsageError
 from pseudoherm.report import (
     complex_pair,
     matrix_from_payload,
@@ -23,6 +23,7 @@ from pseudoherm.report import (
     parse_matrix_file,
     vector_payload,
 )
+from pseudoherm.twolevel import TwoLevelParams, normalize_traceless
 
 from support import positive_definite, well_conditioned
 
@@ -222,10 +223,8 @@ class TestPsusyWittenCommands:
         code, out = run(capsys, "psusy", f)
         assert code == 0
         report = json.loads(out)
-        assert all(c["passed"] for c in report["checks"])
-        assert [c["name"] for c in report["checks"]] == [
-            "susy_anticommutator", "intertwine_plus", "intertwine_minus"
-        ]
+        assert report["checks"] == []
+        assert report["passed"] is True
 
     def test_witten_full_rank_2x3(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
@@ -522,6 +521,46 @@ class TestEmitReport:
         assert emit_report(value) == dumps(value)
 
 
+WITTEN_KEYS = [
+    "analytic_index_d", "betti_minus", "betti_plus", "complex_residual", "d0_minus",
+    "d0_plus", "delta", "delta_equals_analytic_d", "ker_d", "ker_d0", "ker_d0_flat",
+    "ker_d_dagger", "non_null_kernels", "non_null_minus", "non_null_plus",
+]
+FACTOR_KEYS = ["alpha", "eta1", "eta2", "l", "l_sharp"]
+FACTOR_CHECKS = ["factorization_h1", "factorization_h2"]
+BIORTHONORMALITY = ["biorthonormality_left", "biorthonormality_right"]
+# sorted result keys and ordered check names of each command's report
+REPORT_SCHEMAS = {
+    "spectrum": (["clusters", "phi", "psi", "tag"], BIORTHONORMALITY),
+    "eta": (["clusters", "eta", "eta_inverse", "signs"], ["pseudo_hermiticity"]),
+    "factor": (sorted(FACTOR_KEYS + ["clusters"]), FACTOR_CHECKS),
+    "intertwine": (sorted(FACTOR_KEYS + ["witten"]), FACTOR_CHECKS),
+    "psusy": (["d_sharp", "h_minus", "h_plus"], []),
+    "witten": (WITTEN_KEYS, ["kernel_complex"]),
+    "twolevel": (
+        sorted(FACTOR_KEYS + ["clusters", "determinant", "e", "n", "phi", "psi", "rotations"]),
+        BIORTHONORMALITY + FACTOR_CHECKS,
+    ),
+    "demo oscillator": (
+        ["eta1", "eta1_inv", "eta2", "hamiltonian", "l", "l_sharp", "phi1", "phi2",
+         "psi1", "psi2"],
+        ["lsharp_l", "l_lsharp"],
+    ),
+    "demo spin": (["l", "l_sharp", "oscillator_h", "spin_h"], ["lsharp_l", "l_lsharp"]),
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=argv_id)
+    def test_result_keys_and_check_names(self, command_files, argv):
+        report = report_of(*(command_files.get(a, a) for a in argv))
+        keys, checks = REPORT_SCHEMAS[" ".join(argv[:2]) if argv[0] == "demo" else argv[0]]
+        assert sorted(report["result"]) == keys
+        assert [c["name"] for c in report["checks"]] == checks
+        if argv[0] == "intertwine":
+            assert sorted(report["result"]["witten"]) == WITTEN_KEYS
+
+
 NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
 
 
@@ -582,6 +621,23 @@ class TestUnusableMatrices:
         code, out = run(capsys, command, d)
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NumericalFailure"
+
+    def test_overflowing_two_level_coefficients_raise(self):
+        with pytest.raises(ValueError, match="finite"):
+            TwoLevelParams.from_coefficients(math.nan, 1, 1)
+        # E = sqrt(a^2 + bc) overflows; then only n = 2E(a + E) does
+        for coefficients in ((1e200, 1e200, 1e200), (1e154, 5e153, 5e153)):
+            with pytest.raises(NumericalFailure, match="not finite"):
+                TwoLevelParams.from_coefficients(*coefficients)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            normalize_traceless(np.full((2, 2), 1e308))
+
+    def test_overflowing_twolevel_gives_an_error_report(self, capsys):
+        code = main(["twolevel", "--a=1e200,0", "--b=1e200,0", "--c=1e200,0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["type"] == "NumericalFailure"
+        assert captured.err == ""
 
 
 class TestPayloads:
