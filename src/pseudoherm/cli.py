@@ -33,7 +33,6 @@ from .spectral import classify_spectrum, decompose, verify_biorthonormality
 from .susy import assemble, from_factorization, witten_index
 from .twolevel import (
     TwoLevelParams,
-    closed_form_system,
     oscillator_demo,
     spin_intertwine_demo,
     two_level_factorization,
@@ -226,7 +225,7 @@ def cmd_eta(args, tol: Tolerance) -> dict:
     h = _square_matrix_file(args.matrix)
     sys_ = decompose(h, tol)
     if args.signs is None:
-        signs = None
+        signs = SignAssignment.uniform(sys_)
     else:
         try:
             flat = [int(s) for s in args.signs.split(",")]
@@ -241,7 +240,7 @@ def cmd_eta(args, tol: Tolerance) -> dict:
     report["result"] = {
         "eta": matrix_payload(eta.matrix),
         "eta_inverse": matrix_payload(eta.inverse),
-        "signs": list(eta.signs.flat),
+        "signs": list(signs.flat),
         "clusters": _cluster_payload(sys_),
     }
     report["checks"] = [check_payload(check)]
@@ -327,8 +326,8 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
         tol,
     )
     params = TwoLevelParams.from_coefficients(args.a, args.b, args.c, tol)
-    sys_ = closed_form_system(params, tol)
     fact = two_level_factorization(params, tol)
+    sys_ = fact.intertwiner.pairing.system1  # the closed-form system
     report["result"] = {
         "e": complex_pair(params.e),
         "n": complex_pair(params.n),

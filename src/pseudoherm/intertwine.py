@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIsospectral, NotPseudoHermitian
+from .errors import NotIsospectral
 from .linalg import (
     _EXACT_BELOW,
     DEFAULT_TOLERANCE,
@@ -30,9 +30,7 @@ from .metric import EtaOperator, SignAssignment, canonical_eta, pseudo_adjoint
 from .spectral import (
     KIND_REAL,
     KIND_UPPER,
-    TAG_UNPAIRABLE,
     BiorthonormalSystem,
-    classify_spectrum,
     reconstruct,
 )
 
@@ -99,16 +97,6 @@ class Factorization:
     @property
     def matrix(self) -> np.ndarray:
         return self.intertwiner.matrix
-
-
-def _factorization_checks(
-    h1: np.ndarray, h2: np.ndarray, l: np.ndarray, lsharp: np.ndarray, threshold: float
-) -> tuple[ResidualCheck, ...]:
-    """The checks of H1 = L# L and H2 = L L#, both against `threshold`."""
-    return (
-        ResidualCheck("factorization_h1", frobenius_norm(h1 - lsharp @ l), threshold),
-        ResidualCheck("factorization_h2", frobenius_norm(h2 - l @ lsharp), threshold),
-    )
 
 
 def match_spectra(
@@ -295,28 +283,27 @@ def canonical_factorization(
     taken as the lower bound `_cond_lower_bound`, so it is never looser than
     with exact ones.
     """
-    for sys in (sys1, sys2):
-        if classify_spectrum(sys, tol).tag == TAG_UNPAIRABLE:
-            raise NotPseudoHermitian(
-                "factorization needs a real-or-conjugate-paired spectrum"
-            )
-    pairing = match_spectra(sys1, sys2, tol)
-    alpha = _canonical_alpha(pairing)
+    # the metrics raise NotPseudoHermitian for an unpairable spectrum, so
+    # that comes before any NotIsospectral from the matching
     eta1 = canonical_eta(sys1, _canonical_signs(sys1, negative_flip=True))
     eta2 = canonical_eta(sys2, _canonical_signs(sys2, negative_flip=False))
-    intertwiner = build_L(pairing, alpha)
-    lsharp = pseudo_adjoint(intertwiner.matrix, eta1, eta2)
+    pairing = match_spectra(sys1, sys2, tol)
+    intertwiner = build_L(pairing, _canonical_alpha(pairing))
+    l = intertwiner.matrix
+    lsharp = pseudo_adjoint(l, eta1, eta2)
 
     cond1 = _cond_lower_bound(sys1)
     cond2 = cond1 if sys2 is sys1 else _cond_lower_bound(sys2)
     threshold = tol.rtol * (1.0 + max(sys1.scale, sys2.scale)) * cond1 * cond2
+    h1, h2 = reconstruct(sys1), reconstruct(sys2)
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,
         eta2=eta2,
         lsharp=lsharp,
-        checks=_factorization_checks(
-            reconstruct(sys1), reconstruct(sys2), intertwiner.matrix, lsharp, threshold
+        checks=(
+            ResidualCheck("factorization_h1", frobenius_norm(h1 - lsharp @ l), threshold),
+            ResidualCheck("factorization_h2", frobenius_norm(h2 - l @ lsharp), threshold),
         ),
     )
 

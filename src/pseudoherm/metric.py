@@ -112,7 +112,6 @@ class EtaOperator:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    signs: SignAssignment | None = None
 
     @property
     def dim(self) -> int:
@@ -256,7 +255,6 @@ def canonical_eta(
     return EtaOperator(
         matrix=(sys.phi[:, p] * s) @ sys.phi.conj().T,
         inverse=(sys.psi[:, p] * s) @ sys.psi.conj().T,
-        signs=signs,
     )
 
 

@@ -59,7 +59,9 @@ class PseudoSusySystem:
     D, D# and the two metrics are its data. H+ = D# D / 2 and H- = D D# / 2
     are formed from them at construction (NumericalFailure when either is not
     finite) and are neither arguments nor assignable, so
-    `dataclasses.replace` that changes D or D# forms them anew.
+    `dataclasses.replace` that changes D or D# forms them anew. D, D#, H+
+    and H- are held as read-only views, so no write in place can put H+ and
+    H- out of step with D; the caller's arrays keep their own flags.
     """
 
     d: np.ndarray
@@ -75,8 +77,11 @@ class PseudoSusySystem:
             h_minus = 0.5 * (self.d @ self.d_sharp)
         if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
             raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
-        object.__setattr__(self, "h_plus", h_plus)
-        object.__setattr__(self, "h_minus", h_minus)
+        arrays = {"d": self.d, "d_sharp": self.d_sharp, "h_plus": h_plus, "h_minus": h_minus}
+        for name, a in arrays.items():
+            view = a.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @cached_property
     def d_norm(self) -> float:

@@ -2,9 +2,10 @@
 
 Everything here is exact algebra in the coefficients (a, b, c) of
 [[a, b], [c, -a]]: eigenvalues -E and +E with E = sqrt(a^2 + bc) on the
-Re E >= 0 branch, explicit eigenvector families, the Case I (real E) and
-Case II (imaginary E) factorizations, and the classical-oscillator /
-spin-half golden reference reports.
+Re E >= 0 branch, explicit eigenvector families, and the classical-oscillator
+/ spin-half golden reference reports. The Case I (real E) and Case II
+(imaginary E) factorizations are the generic canonical factorization of the
+closed-form eigensystem, so they accept exactly what the generic path does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTwoLevel, NonRealDeterminant, NumericalFailure
-from .intertwine import Factorization, Intertwiner, _factorization_checks, match_spectra
+from .intertwine import Factorization, self_factorization
 from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
@@ -25,8 +26,12 @@ from .linalg import (
     norm_lower_bound,
     spectral_norm,
 )
-from .metric import EtaOperator, SignAssignment
-from .spectral import BiorthonormalSystem, cluster_eigenvalues
+from .spectral import (
+    TAG_UNPAIRABLE,
+    BiorthonormalSystem,
+    classify_spectrum,
+    cluster_eigenvalues,
+)
 
 __all__ = [
     "TwoLevelParams",
@@ -190,68 +195,25 @@ def closed_form_system(
     )
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x><y|"""
-    return np.outer(x, y.conj())
-
-
 def two_level_factorization(
     params: TwoLevelParams, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Factorization:
-    """Case I / Case II closed-form factorization H = L# L.
+    """H = L# L through `self_factorization` of the closed-form eigensystem.
 
-    Requires a real determinant: E real (Case I, L = sqrt(E) times the
-    identity with opposite-sign metrics) or E purely imaginary (Case II,
-    L weights the eigenvector families by 1 and E with a swap metric).
-    Inputs with genuinely complex E are rejected; the generic
-    `self_factorization` route does not apply to them either.
+    Needs a real determinant: E real (Case I, where the canonical choice is
+    L = sqrt(E) times the identity with opposite-sign metrics) or E purely
+    imaginary (Case II, L weights the eigenvector families by E and 1 with
+    a swap metric). `classify_spectrum` decides which at the cluster
+    tolerance, so this accepts exactly what `self_factorization` of the
+    decomposed matrix accepts; NonRealDeterminant where it finds -E and +E
+    unpairable. The residuals are taken against `reconstruct` of the system.
     """
     sys = closed_form_system(params, tol)
-    psi1, psi2, phi1, phi2 = _vectors(params)
-    e = params.e
-    case_tol = tol.atol * (1.0 + abs(e))
-
-    if abs(e.imag) <= case_tol:
-        er = float(e.real)
-        root = np.sqrt(er)
-        l = root * np.eye(2, dtype=complex)
-        eta1 = EtaOperator(
-            matrix=-_outer(phi1, phi1) + _outer(phi2, phi2),
-            inverse=-_outer(psi1, psi1) + _outer(psi2, psi2),
-            signs=SignAssignment(((0, (-1,)), (1, (1,)))),
-        )
-        eta2 = EtaOperator(
-            matrix=_outer(phi1, phi1) + _outer(phi2, phi2),
-            inverse=_outer(psi1, psi1) + _outer(psi2, psi2),
-            signs=SignAssignment(((0, (1,)), (1, (1,)))),
-        )
-        lsharp = root * (eta1.inverse @ eta2.matrix)
-        alpha = (complex(root), complex(root))
-    elif abs(e.real) <= case_tol:
-        l = _outer(psi1, phi1) + e * _outer(psi2, phi2)
-        swap = _outer(phi1, phi2) + _outer(phi2, phi1)
-        swap_inv = _outer(psi1, psi2) + _outer(psi2, psi1)
-        eta1 = EtaOperator(matrix=swap, inverse=swap_inv)
-        eta2 = EtaOperator(matrix=swap.copy(), inverse=swap_inv.copy())
-        lsharp = -e * _outer(psi1, phi1) + _outer(psi2, phi2)
-        # cluster order puts +E (PairUpper) first
-        alpha = (complex(e), 1.0)
-    else:
+    if classify_spectrum(sys, tol).tag == TAG_UNPAIRABLE:
         raise NonRealDeterminant(
             f"determinant {params.determinant():.6g} is not real at tolerance"
         )
-
-    pairing = match_spectra(sys, sys, tol)
-    intertwiner = Intertwiner(matrix=l, alpha=alpha, pairing=pairing)
-    h = params.source_matrix()
-    threshold = tol.rtol * (1.0 + norm_lower_bound(h)) * sys.psi_cond**2
-    return Factorization(
-        intertwiner=intertwiner,
-        eta1=eta1,
-        eta2=eta2,
-        lsharp=lsharp,
-        checks=_factorization_checks(h, h, l, lsharp, threshold),
-    )
+    return self_factorization(sys, tol)
 
 
 def oscillator_hamiltonian(omega: float) -> np.ndarray:

@@ -216,6 +216,15 @@ class TestIntertwineCommand:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NotIsospectral"
 
+    @pytest.mark.parametrize("unpairable_first", [True, False])
+    def test_unpairable_before_not_isospectral(self, capsys, tmp_path, unpairable_first):
+        f1 = write_matrix(tmp_path / "u.json", np.diag([1.0, 2 + 3j]))
+        f2 = write_matrix(tmp_path / "b.json", np.diag([3.0, 4.0]))
+        argv = [f1, f2] if unpairable_first else [f2, f1]
+        code, out = run(capsys, "intertwine", *argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotPseudoHermitian"
+
 
 class TestPsusyWittenCommands:
     def test_psusy_identity_metrics(self, capsys, tmp_path):

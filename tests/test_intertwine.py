@@ -223,6 +223,16 @@ class TestCanonicalFactorization:
         with pytest.raises(NotPseudoHermitian):
             self_factorization(sys)
 
+    def test_unpairable_refused_before_matching(self):
+        # the spectra do not match either; the missing metric is reported
+        unpairable = decompose(np.diag([1.0, 2 + 3j]))
+        other = decompose(np.diag([3.0, 4.0]))
+        with pytest.raises(NotIsospectral):
+            match_spectra(unpairable, other)
+        for sys1, sys2 in ((unpairable, other), (other, unpairable)):
+            with pytest.raises(NotPseudoHermitian):
+                canonical_factorization(sys1, sys2)
+
     def test_rescaled_alpha_keeps_intertwining_breaks_factorization(self):
         rng = np.random.default_rng(7)
         sys1, sys2 = isospectral_pair(rng, 4, allow_zero=False)

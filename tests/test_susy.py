@@ -96,6 +96,31 @@ class TestAssemble:
             assert np.array_equal(doubled.h_plus, 0.5 * (psys.d_sharp @ (2.0 * psys.d)))
             assert np.array_equal(doubled.h_minus, 0.5 * ((2.0 * psys.d) @ psys.d_sharp))
 
+    def test_arrays_are_read_only(self):
+        rng = np.random.default_rng(2)
+        h = matrix_with_spectrum([0.0, 1.0, -1.0, 2 + 1j, 2 - 1j], rng)
+        for psys in (
+            random_susy_system(rng, rows=3, cols=2),
+            from_factorization(self_factorization(decompose(h))),
+        ):
+            h_plus = psys.h_plus.copy()
+            for name in ("d", "d_sharp", "h_plus", "h_minus"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(psys, name)[0, 0] = 5.0
+            assert np.array_equal(psys.h_plus, h_plus)
+            # a replaced D still forms its partners anew
+            doubled = replace(psys, d=2.0 * psys.d)
+            assert np.array_equal(doubled.h_plus, 0.5 * (psys.d_sharp @ (2.0 * psys.d)))
+            assert not doubled.d.flags.writeable
+
+    def test_caller_arrays_stay_writable(self):
+        d, d_sharp = np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)
+        eta = EtaOperator.identity(2)
+        psys = PseudoSusySystem(d=d, d_sharp=d_sharp, eta_plus=eta, eta_minus=eta)
+        assert np.shares_memory(psys.d, d)  # a view, not a copy
+        d[0, 0] = 5.0  # raises ValueError if the caller's flag flipped
+        d_sharp[1, 1] = 5.0
+
 
 class TestVerifyAlgebra:
     def test_oscillator_spin_residuals(self):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from pseudoherm.errors import DegenerateTwoLevel, NonRealDeterminant
+from pseudoherm.cli import main
+from pseudoherm.errors import DegenerateTwoLevel, NonRealDeterminant, PseudohermError
 from pseudoherm.intertwine import canonical_factorization, self_factorization
+from pseudoherm.report import matrix_payload
 from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_UPPER,
@@ -32,6 +36,42 @@ def sample_real_determinant(rng):
             break
     c = (d - a * a) / b
     return a, b, c
+
+
+def sample_near_axis(rng):
+    """Random (a, b, c) at scale s in [1e-9, 1e6] whose E lies near the real
+    or the imaginary axis (or, one draw in five, off both).
+
+    The sliver off the axis is 0, relative to |E| in [1e-16, 1e-9], or
+    absolute near atol = 1e-12; |b| / s in [1e-4, 1e4] spreads ||H|| / |E|.
+    """
+    s = 10.0 ** rng.uniform(-9, 6)
+    u = rng.random()
+    if u < 0.1:
+        sliver = 0.0
+    elif u < 0.7:
+        sliver = 10.0 ** rng.uniform(-16, -9) * rng.choice([-1, 1])
+    else:
+        sliver = 10.0 ** rng.uniform(-13.5, -10.5) * rng.choice([-1, 1]) / s
+    kind = rng.random()
+    if kind < 0.4:
+        e = s * complex(1.0, sliver)
+    elif kind < 0.8:
+        e = s * complex(sliver, 1.0)
+    else:
+        e = s * complex(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0))
+    a = s * complex(rng.uniform(-1, 1), rng.uniform(-1, 1) if rng.random() < 0.5 else 0.0)
+    b = s * 10.0 ** rng.uniform(-4, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return a, b, (e * e - a * a) / b
+
+
+def verdict(factor) -> str:
+    """"pass", "fail" or the name of the raised error."""
+    try:
+        fact = factor()
+    except PseudohermError as exc:
+        return type(exc).__name__
+    return "pass" if all(c.passed for c in fact.checks) else "fail"
 
 
 class TestNormalizeTraceless:
@@ -200,6 +240,45 @@ class TestTwoLevelFactorization:
         assert fact_closed.checks[0].name == fact_generic.checks[0].name == "factorization_h1"
         assert fact_closed.checks[0].value <= 1e-12 * scale
         assert fact_generic.checks[0].value <= 1e-8 * scale
+
+    def test_verdicts_match_the_generic_path(self):
+        # generic NotPseudoHermitian is the closed form's NonRealDeterminant
+        same = {"NotPseudoHermitian": "NonRealDeterminant"}
+        rng = np.random.default_rng(13)
+        verdicts, mismatches = [], []
+        for _ in range(2000):
+            a, b, c = sample_near_axis(rng)
+            params = TwoLevelParams.from_coefficients(a, b, c)
+            closed = verdict(lambda: two_level_factorization(params))
+            generic = verdict(
+                lambda: self_factorization(decompose(params.source_matrix()))
+            )
+            verdicts.append(closed)
+            if closed != same.get(generic, generic):
+                mismatches.append(((a, b, c), closed, generic))
+        assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[:3]}"
+        assert verdicts.count("pass") >= 300
+        assert verdicts.count("NonRealDeterminant") >= 300
+
+    @pytest.mark.parametrize(
+        "c, code, error",
+        [
+            # imaginary sliver 1e-10 of E = 1, within rtol * ||H|| = 1e-3
+            ("100000,2e-5", 0, None),
+            # conj(E) lies 1.6e-12 from -E, beyond atol = 1e-12
+            ("-1e-5,1.6e-12", 1, "NonRealDeterminant"),
+        ],
+    )
+    def test_cli_verdicts_match_factor(self, capsys, tmp_path, c, code, error):
+        assert main(["twolevel", "--a=0,0", "--b=1e-5,0", f"--c={c}"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("error", {}).get("type") == error
+        re, im = map(float, c.split(","))
+        path = tmp_path / "h.json"
+        h = np.array([[0.0, 1e-5], [complex(re, im), 0.0]])
+        path.write_text(json.dumps(matrix_payload(h)))
+        assert main(["factor", str(path)]) == code
+        capsys.readouterr()
 
 
 class TestOscillatorDemo:
