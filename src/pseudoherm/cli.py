@@ -1,7 +1,8 @@
 """Command-line interface: matrix-file analysis with JSON reports.
 
 Exit codes: 0 success, 1 mathematical/structural failure (non-diagonalizable
-input, unmatched spectra, residual over threshold, ...), 2 usage errors.
+input, unmatched spectra, residual over threshold, ...) or an output pipe the
+reader closed, 2 usage errors.
 Reports are byte-stable JSON by default; --pretty renders aligned tables.
 The default rtol may be overridden with --tol or the PSEUDOHERM_TOL
 environment variable.
@@ -15,7 +16,8 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+
+import numpy as np
 
 from .errors import PseudohermError, UsageError
 from .intertwine import canonical_factorization, self_factorization
@@ -161,11 +163,11 @@ def _cluster_payload(sys) -> list[dict]:
 def _factorization_payload(report: dict, fact) -> None:
     report["result"].update(
         {
-            "l": matrix_payload(fact.matrix),
-            "l_sharp": matrix_payload(fact.lsharp),
+            "l": fact.matrix,
+            "l_sharp": fact.lsharp,
             "alpha": [complex_pair(a) for a in fact.intertwiner.alpha],
-            "eta1": matrix_payload(fact.eta1.matrix),
-            "eta2": matrix_payload(fact.eta2.matrix),
+            "eta1": fact.eta1.matrix,
+            "eta2": fact.eta2.matrix,
         }
     )
     report["checks"].extend(check_payload(c) for c in fact.checks)
@@ -213,8 +215,8 @@ def cmd_spectrum(args, tol: Tolerance) -> dict:
     report["result"] = {
         "tag": cls.tag,
         "clusters": _cluster_payload(sys_),
-        "psi": matrix_payload(sys_.psi),
-        "phi": matrix_payload(sys_.phi),
+        "psi": sys_.psi,
+        "phi": sys_.phi,
     }
     report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
     return _finish(report)
@@ -238,8 +240,8 @@ def cmd_eta(args, tol: Tolerance) -> dict:
     eta = canonical_eta(sys_, signs)
     check = verify_pseudo_hermiticity(h, eta, tol)
     report["result"] = {
-        "eta": matrix_payload(eta.matrix),
-        "eta_inverse": matrix_payload(eta.inverse),
+        "eta": eta.matrix,
+        "eta_inverse": eta.inverse,
         "signs": list(signs.flat),
         "clusters": _cluster_payload(sys_),
     }
@@ -299,9 +301,9 @@ def cmd_psusy(args, tol: Tolerance) -> dict:
     report = _base_report("psusy", _susy_inputs(args), tol)
     psys = _assemble_from_args(args, tol)
     report["result"] = {
-        "h_plus": matrix_payload(psys.h_plus),
-        "h_minus": matrix_payload(psys.h_minus),
-        "d_sharp": matrix_payload(psys.d_sharp),
+        "h_plus": psys.h_plus,
+        "h_minus": psys.h_minus,
+        "d_sharp": psys.d_sharp,
     }
     return _finish(report)
 
@@ -334,8 +336,8 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
         "determinant": complex_pair(params.determinant()),
         "rotations": params.rotations,
         "clusters": _cluster_payload(sys_),
-        "psi": matrix_payload(sys_.psi),
-        "phi": matrix_payload(sys_.phi),
+        "psi": sys_.psi,
+        "phi": sys_.phi,
     }
     report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
     _factorization_payload(report, fact)
@@ -351,23 +353,23 @@ def cmd_demo(args, tol: Tolerance) -> dict:
         raise UsageError(f"--omega: {exc}") from exc
     if args.which == "oscillator":
         report["result"] = {
-            "hamiltonian": matrix_payload(demo.hamiltonian),
+            "hamiltonian": demo.hamiltonian,
             "psi1": vector_payload(demo.psi1),
             "psi2": vector_payload(demo.psi2),
             "phi1": vector_payload(demo.phi1),
             "phi2": vector_payload(demo.phi2),
-            "eta1": matrix_payload(demo.eta1),
-            "eta1_inv": matrix_payload(demo.eta1_inv),
-            "eta2": matrix_payload(demo.eta2),
-            "l": matrix_payload(demo.intertwiner),
-            "l_sharp": matrix_payload(demo.intertwiner_sharp),
+            "eta1": demo.eta1,
+            "eta1_inv": demo.eta1_inv,
+            "eta2": demo.eta2,
+            "l": demo.intertwiner,
+            "l_sharp": demo.intertwiner_sharp,
         }
     else:
         report["result"] = {
-            "oscillator_h": matrix_payload(demo.oscillator_h),
-            "spin_h": matrix_payload(demo.spin_h),
-            "l": matrix_payload(demo.intertwiner),
-            "l_sharp": matrix_payload(demo.intertwiner_sharp),
+            "oscillator_h": demo.oscillator_h,
+            "spin_h": demo.spin_h,
+            "l": demo.intertwiner,
+            "l_sharp": demo.intertwiner_sharp,
         }
     report["checks"] = [check_payload(c) for c in demo.checks]
     return _finish(report)
@@ -389,17 +391,17 @@ def dispatch(args, tol: Tolerance) -> dict:
     return _HANDLERS[args.command](args, tol)
 
 
-def _fmt_complex(pair) -> str:
-    re, im = pair
-    return f"{re:.12g}{im:+.12g}j"
-
-
 def _pretty_lines(key: str, value, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        m = np.atleast_2d(np.asarray(value, dtype=complex))
+        entries = [[(z.real, z.imag) for z in row] for row in m.tolist()]
+        value = {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
     if isinstance(value, dict) and {"rows", "cols", "entries"} <= set(value):
         lines = [f"{pad}{key} ({value['rows']}x{value['cols']}):"]
         for row in value["entries"]:
-            lines.append(pad + "  " + "  ".join(f"{_fmt_complex(z):>24}" for z in row))
+            cells = (f"{re:.12g}{im:+.12g}j" for re, im in row)
+            lines.append(pad + "  " + "  ".join(f"{cell:>24}" for cell in cells))
         return lines
     if isinstance(value, dict):
         lines = [f"{pad}{key}:"]
@@ -411,67 +413,60 @@ def _pretty_lines(key: str, value, indent: int = 0) -> list[str]:
     return [f"{pad}{key}: {value}"]
 
 
-def _entries_json(entries, pad: str) -> str | None:
-    """JSON text of a non-empty rectangular list of rows of [float, float]
-    pairs with finite values, formatted one row at a time; None otherwise.
-
-    `pad` is a newline plus the indent of the line that holds the list.
-    """
-    if type(entries) is not list or set(map(type, entries)) != {list}:
-        return None
-    width = len(entries[0])
-    if set(map(len, entries)) != {width}:
-        return None
-    pairs = list(chain.from_iterable(entries))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return None
-    row_pad, pair_pad, value_pad = pad + "  ", pad + "    ", pad + "      "
+def _matrix_chunks(m: np.ndarray, pad: str, out: list) -> None:
+    """Append `matrix_payload(m)`'s JSON text, one chunk per row, for a
+    non-empty C-contiguous complex matrix with finite entries."""
+    rows, cols = m.shape
+    inner = pad + "  "
+    row_pad, pair_pad, value_pad = inner + "  ", inner + "    ", inner + "      "
     pair = f"[{value_pad}%r,{value_pad}%r{pair_pad}]"
-    row = "[" + pair_pad + ("," + pair_pad).join([pair] * width) + row_pad + "]"
-    step = 2 * width
-    rows = [row % tuple(flat[i : i + step]) for i in range(0, len(flat), step)]
-    text = "[" + row_pad + ("," + row_pad).join(rows) + pad + "]"
-    # a finite float's repr has no "n"; json spells nan and inf NaN/Infinity
-    return None if "n" in text else text
+    row = "[" + pair_pad + ("," + pair_pad).join([pair] * cols) + row_pad + "]"
+    out.append(f'{{{inner}"cols": {cols},{inner}"entries": [{row_pad}')
+    for i, values in enumerate(m.view(float)):
+        out.append(("," + row_pad if i else "") + row % tuple(values.tolist()))
+    out.append(f'{inner}],{inner}"rows": {rows}{pad}}}')
 
 
-def _json(value, pad: str = "\n") -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)`, for a value on a line
-    indented by `pad` (a newline plus spaces).
-
-    Values under an "entries" key take `_entries_json` when it accepts them;
-    everything else recurses down to `json.dumps` of each leaf.
-    """
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(k, str) for k in value):
-            # json coerces and orders non-string keys itself; its output
-            # holds no raw newline, so re-indenting it is exact
-            return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
-        inner = pad + "  "
-        items = []
-        for key in sorted(value):
-            text = _entries_json(value[key], inner) if key == "entries" else None
-            items.append(f"{json.dumps(key)}: {text or _json(value[key], inner)}")
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(value)
+def _chunks(value, pad: str, out: list) -> None:
+    """Append to `out` the text of `json.dumps(value, sort_keys=True,
+    indent=2, default=matrix_payload)` for a value on a line indented by
+    `pad` (a newline plus spaces)."""
+    if isinstance(value, np.ndarray):
+        m = np.ascontiguousarray(value, dtype=complex)
+        if m.ndim == 2 and m.size and np.isfinite(m).all():
+            _matrix_chunks(m, pad, out)
+            return
+        value = matrix_payload(m)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append("," + inner if i else inner)
+            _chunks(v, inner, out)
+        out.append(pad + "]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{',' if i else '{'}{inner}{json.dumps(key)}: ")
+            _chunks(value[key], inner, out)
+        out.append(pad + "}")
+    elif value is None or isinstance(value, (str, int, float)):
+        out.append(json.dumps(value))
+    else:
+        # an empty container, a dict whose keys json must coerce and order,
+        # or a value json cannot encode; json's text holds no raw newline,
+        # so re-indenting it is exact
+        text = json.dumps(value, sort_keys=True, indent=2, default=matrix_payload)
+        out.append(text.replace("\n", pad))
 
 
 def emit_report(report: dict, pretty: bool = False) -> str:
     """Render a report: byte-stable JSON, exactly
-    `json.dumps(report, sort_keys=True, indent=2)`, or aligned tables with
-    --pretty."""
+    `json.dumps(report, sort_keys=True, indent=2, default=matrix_payload)`,
+    or aligned tables with --pretty."""
     if not pretty:
-        return _json(report)
+        out: list[str] = []
+        _chunks(report, "\n", out)
+        return "".join(out)
     lines = [f"command: {report['command']}"]
     for k in sorted(report.get("inputs", {})):
         lines.extend(_pretty_lines(k, report["inputs"][k], indent=1))
@@ -505,14 +500,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PseudohermError as exc:
-        failure = {
+        report = {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "passed": False,
         }
-        print(emit_report(failure, getattr(args, "pretty", False)))
+    try:
+        print(emit_report(report, args.pretty))
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # flush at exit does not fail again (Python's signal docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(emit_report(report, args.pretty))
     return 0 if report["passed"] else 1
 
 

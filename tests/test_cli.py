@@ -1,15 +1,24 @@
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from pseudoherm import cli
 from pseudoherm.cli import (
-    _entries_json,
     _parser,
+    _pretty_lines,
     _resolve_tolerance,
     dispatch,
     emit_report,
@@ -25,7 +34,9 @@ from pseudoherm.report import (
 )
 from pseudoherm.twolevel import TwoLevelParams, normalize_traceless
 
-from support import positive_definite, well_conditioned
+from support import matrix_with_spectrum, positive_definite, well_conditioned
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_matrix(path, m):
@@ -400,7 +411,7 @@ def report_of(*argv):
 
 
 def dumps(value):
-    return json.dumps(value, sort_keys=True, indent=2)
+    return json.dumps(value, sort_keys=True, indent=2, default=matrix_payload)
 
 
 @pytest.fixture
@@ -416,6 +427,38 @@ def command_files(tmp_path):
     files["ep"] = write_matrix(tmp_path / "ep.json", positive_definite(4, rng))
     files["em"] = write_matrix(tmp_path / "em.json", positive_definite(3, rng))
     return files
+
+
+def large_files(tmp_path, n):
+    """Two isospectral n x n matrices, each with n/4 doubly degenerate real
+    eigenvalues and n/4 simple conjugate pairs, and a rank-deficient map D.
+
+    No pair shares its real part with a real eigenvalue, so rounding cannot
+    reorder the clusters."""
+    q = n // 4
+    reals = [0.5 * k for k in range(1, q + 1)]
+    spectrum = reals * 2 + [x + 0.25 + s * 1j for x in reals for s in (1, -1)]
+    rng = np.random.default_rng(11)
+    files = {
+        name: write_matrix(tmp_path / f"{name}.json", matrix_with_spectrum(spectrum, rng))
+        for name in ("h1", "h2")
+    }
+    d = rng.standard_normal((40, 30)) @ rng.standard_normal((30, 48))
+    files["d"] = write_matrix(tmp_path / "d.json", d)
+    return files
+
+
+@pytest.fixture
+def files64(tmp_path):
+    return large_files(tmp_path, 64)
+
+
+def cli_subprocess(*argv, **kwargs):
+    """`python -m pseudoherm.cli` in a fresh interpreter with ./src importable."""
+    env = dict(os.environ, PYTHONPATH=SRC, **kwargs.pop("env", {}))
+    return subprocess.Popen(
+        [sys.executable, "-m", "pseudoherm.cli", *argv], env=env, **kwargs
+    )
 
 
 finite_pairs = st.lists(
@@ -448,8 +491,31 @@ payloads = st.fixed_dictionaries(
         "entries": rectangular_entries | odd_entries,
     }
 )
+
+
+def _laid_out(m, layout):
+    """The same values in C order, Fortran order or as a strided view."""
+    if layout == "fortran":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        return np.repeat(m, 2, axis=1)[:, ::2]
+    return m
+
+
+matrix_elements = {float: any_floats, complex: st.builds(complex, any_floats, any_floats)}
+matrices = st.builds(
+    _laid_out,
+    st.sampled_from([float, complex]).flatmap(
+        lambda dtype: hnp.arrays(
+            dtype, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=matrix_elements[dtype],
+        )
+    ),
+    st.sampled_from(["C", "fortran", "strided"]),
+)
+zero_size = st.sampled_from([np.zeros((0, 3)), np.zeros((2, 0), dtype=complex), np.zeros((0, 0))])
 report_like = st.recursive(
-    leaves | payloads,
+    leaves | payloads | matrices | zero_size,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(st.text() | st.just("entries"), children, max_size=4),
@@ -477,7 +543,8 @@ def argv_id(argv):
 
 
 class TestEmitReport:
-    """The default JSON is exactly json.dumps(report, sort_keys=True, indent=2)."""
+    """The default JSON is exactly
+    json.dumps(report, sort_keys=True, indent=2, default=matrix_payload)."""
 
     @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=argv_id)
     def test_every_command(self, command_files, argv):
@@ -496,12 +563,15 @@ class TestEmitReport:
         }
         assert emit_report(failure) == dumps(failure)
 
-    def test_matrix_entries_take_the_row_templates(self):
+    def test_matrix_entries_take_the_row_templates(self, monkeypatch):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         m[0, 0] = -0.0
-        entries = matrix_payload(m)["entries"]
-        assert _entries_json(entries, "\n    ") == dumps(entries).replace("\n", "\n    ")
+        m[2, 1] = complex(5e-324, -1e16)
+        report = {"result": {"l": m, "f": np.asfortranarray(m.T), "s": m[:, ::2], "r": m.real}}
+        expected = dumps(report)
+        monkeypatch.setattr(cli, "matrix_payload", None)  # unused on this path
+        assert emit_report(report) == expected
 
     @pytest.mark.parametrize(
         "entries",
@@ -512,9 +582,25 @@ class TestEmitReport:
         ],
     )
     def test_other_entries_take_the_generic_path(self, entries):
-        assert _entries_json(entries, "\n") is None
         report = {"l": {"rows": 1, "cols": 1, "entries": entries}}
         assert emit_report(report) == dumps(report)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.array([[1.0, math.nan]]), np.array([[complex(0.0, -math.inf)]]),
+         np.zeros((0, 3)), np.zeros((3, 0), dtype=complex), np.arange(3.0), np.array(2j)],
+        ids=["nan", "inf", "no_rows", "no_cols", "vector", "scalar"],
+    )
+    def test_other_arrays_fall_back_to_matrix_payload(self, monkeypatch, m):
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return matrix_payload(value)
+
+        monkeypatch.setattr(cli, "matrix_payload", spy)
+        assert emit_report({"l": m}) == dumps({"l": m})
+        assert len(calls) == 1
 
     def test_non_string_keys(self):
         report = {
@@ -528,6 +614,27 @@ class TestEmitReport:
     @given(report_like)
     def test_matches_json_dumps(self, value):
         assert emit_report(value) == dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices | zero_size)
+    def test_pretty_array_matches_its_payload(self, m):
+        assert _pretty_lines("l", m, 1) == _pretty_lines("l", matrix_payload(m), 1)
+
+    def test_peak_memory_stays_near_the_output_size(self, files64):
+        argv = ["factor", files64["h1"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)  # first call: caches and lazy imports
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.5 * len(out.getvalue())
 
 
 WITTEN_KEYS = [
@@ -598,6 +705,51 @@ class TestFiniteReports:
             assert NON_FINITE_TOKEN.search(out) is None
         else:
             json.loads(out, parse_constant=_refuse_constant)
+
+
+class TestSubprocesses:
+    def test_closed_pipe_leaves_stderr_empty(self, files64):
+        with cli_subprocess(
+            "factor", files64["h1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()  # the 1.5 MB report is far from written
+            _, err = proc.communicate(timeout=120)
+        assert head == b'{\n  "check'
+        assert err == b""
+        assert proc.returncode == 1
+
+    @staticmethod
+    def outcome(files, argv, threads):
+        """Exit code, tag, cluster multiplicities, check flags and Witten
+        counts of one call under a given OpenBLAS thread count."""
+        with cli_subprocess(
+            *(files.get(a, a) for a in argv),
+            env={"OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+        ) as proc:
+            out, _ = proc.communicate(timeout=120)
+        report = json.loads(out)
+        result = report["result"]
+        witten = result["witten"] if argv[0] == "intertwine" else result
+        return (
+            proc.returncode,
+            result.get("tag"),
+            [c["multiplicity"] for c in result.get("clusters", [])],
+            [(c["name"], c["passed"]) for c in report["checks"]],
+            {k: v for k, v in witten.items() if k in WITTEN_KEYS and k != "complex_residual"},
+        )
+
+    def test_discrete_outcomes_do_not_depend_on_blas_threads(self, tmp_path):
+        # from n = 128 on, OpenBLAS splits the products over two threads and
+        # the residual digits differ between the two runs
+        files = large_files(tmp_path, 128)
+        argvs = [("spectrum", "h1"), ("factor", "h1"), ("intertwine", "h1", "h2"), ("witten", "d")]
+        one, two = ([self.outcome(files, argv, threads) for argv in argvs] for threads in "12")
+        assert one == two
+        assert [o[0] for o in one] == [0, 0, 0, 0]
+        assert one[0][2].count(2) == 32
+        assert one[3][4]["ker_d"] == 48 - 30
 
 
 # every argument that names a file of a square matrix, given a 2x3 one
