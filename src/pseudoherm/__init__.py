@@ -55,7 +55,6 @@ from .spectral import (
     SpectrumClass,
     classify_spectrum,
     decompose,
-    reconstruct,
     verify_biorthonormality,
 )
 from .susy import (

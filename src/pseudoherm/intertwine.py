@@ -22,17 +22,13 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _store_read_only,
     as_matrix,
     frobenius_norm,
     norm_lower_bound,
 )
 from .metric import EtaOperator, SignAssignment, canonical_eta, pseudo_adjoint
-from .spectral import (
-    KIND_REAL,
-    KIND_UPPER,
-    BiorthonormalSystem,
-    reconstruct,
-)
+from .spectral import KIND_REAL, KIND_UPPER, BiorthonormalSystem
 
 __all__ = [
     "MatchedCluster",
@@ -56,7 +52,7 @@ class MatchedCluster:
     is_zero: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpectralPairing:
     """Cluster-level matching of two spectra within a shared tolerance.
 
@@ -68,21 +64,23 @@ class SpectralPairing:
     system1: BiorthonormalSystem
     system2: BiorthonormalSystem
     matches: tuple[MatchedCluster, ...]
-    zero_unmatched1: int | None
-    zero_unmatched2: int | None
-    match_tol: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Intertwiner:
+    """L(alpha) as a read-only matrix, with its coefficients and pairing."""
+
     matrix: np.ndarray
     alpha: tuple[complex, ...]
     pairing: SpectralPairing
 
+    def __post_init__(self) -> None:
+        _store_read_only(self, matrix=self.matrix)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class Factorization:
-    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2.
+    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2 (a read-only view).
 
     `checks` holds the Frobenius residuals of both, `factorization_h1` and
     `factorization_h2`, against one threshold.
@@ -93,6 +91,9 @@ class Factorization:
     eta2: EtaOperator
     lsharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, lsharp=self.lsharp)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -160,15 +161,7 @@ def match_spectra(
                 f"({c1.kind} vs {c2.kind})"
             )
         used.add(best)
-        matches.append(
-            MatchedCluster(
-                index1=i,
-                index2=best,
-                mu=c1.multiplicity,
-                value=c1.value,
-                is_zero=False,
-            )
-        )
+        matches.append(MatchedCluster(i, best, c1.multiplicity, c1.value, is_zero=False))
     leftover = [j for j in nonzero2 if j not in used]
     if leftover:
         value = sys2.clusters[leftover[0]].value
@@ -176,30 +169,12 @@ def match_spectra(
             f"eigenvalue {value:.6g} of the second system has no match"
         )
 
-    zero_unmatched1 = zero_unmatched2 = None
     if zero1 is not None and zero2 is not None:
-        c1, c2 = sys1.clusters[zero1], sys2.clusters[zero2]
-        matches.append(
-            MatchedCluster(
-                index1=zero1,
-                index2=zero2,
-                mu=min(c1.multiplicity, c2.multiplicity),
-                value=0.0,
-                is_zero=True,
-            )
-        )
-    else:
-        zero_unmatched1, zero_unmatched2 = zero1, zero2
+        mu = min(sys1.clusters[zero1].multiplicity, sys2.clusters[zero2].multiplicity)
+        matches.append(MatchedCluster(zero1, zero2, mu, 0.0, is_zero=True))
 
     matches.sort(key=lambda m: m.index1)
-    return SpectralPairing(
-        system1=sys1,
-        system2=sys2,
-        matches=tuple(matches),
-        zero_unmatched1=zero_unmatched1,
-        zero_unmatched2=zero_unmatched2,
-        match_tol=mtol,
-    )
+    return SpectralPairing(system1=sys1, system2=sys2, matches=tuple(matches))
 
 
 def build_L(pairing: SpectralPairing, alpha) -> Intertwiner:
@@ -278,7 +253,8 @@ def canonical_factorization(
 
     Sign convention: -1 on negative real clusters of the first system, +1
     everywhere else; coefficients sqrt(|E|) / E / 1 on real / upper / lower
-    clusters and 0 on the zero cluster. The residuals' threshold is
+    clusters and 0 on the zero cluster. The residuals are measured against
+    the systems' own `h`, not psi diag(E) phi^H. Their threshold is
     rtol * (1 + max ||H||) * cond(psi1) * cond(psi2), each condition number
     taken as the lower bound `_cond_lower_bound`, so it is never looser than
     with exact ones.
@@ -295,15 +271,14 @@ def canonical_factorization(
     cond1 = _cond_lower_bound(sys1)
     cond2 = cond1 if sys2 is sys1 else _cond_lower_bound(sys2)
     threshold = tol.rtol * (1.0 + max(sys1.scale, sys2.scale)) * cond1 * cond2
-    h1, h2 = reconstruct(sys1), reconstruct(sys2)
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,
         eta2=eta2,
         lsharp=lsharp,
         checks=(
-            ResidualCheck("factorization_h1", frobenius_norm(h1 - lsharp @ l), threshold),
-            ResidualCheck("factorization_h2", frobenius_norm(h2 - l @ lsharp), threshold),
+            ResidualCheck("factorization_h1", frobenius_norm(sys1.h - lsharp @ l), threshold),
+            ResidualCheck("factorization_h2", frobenius_norm(sys2.h - l @ lsharp), threshold),
         ),
     )
 

@@ -96,8 +96,9 @@ class ResidualCheck:
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
-    """Coerce to a dense complex 2-d array, rejecting NaN/Inf entries."""
-    a = np.array(m, dtype=complex)
+    """Coerce to a dense complex 2-d array, rejecting NaN/Inf entries; a
+    complex ndarray comes back as it is, not copied."""
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -105,6 +106,14 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _store_read_only(obj, **arrays: np.ndarray) -> None:
+    """Set fields of the frozen dataclass `obj` to read-only views of `arrays`."""
+    for name, a in arrays.items():
+        view = np.asarray(a).view()
+        view.flags.writeable = False
+        object.__setattr__(obj, name, view)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -11,7 +11,7 @@ involutive permutation, B^-1 = B, applied to the columns of phi and psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _store_read_only,
     as_matrix,
     frobenius_norm,
     norm_lower_bound,
@@ -106,12 +107,22 @@ class SignAssignment:
         return tuple(s for _, signs in self.per_cluster for s in signs)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EtaOperator:
-    """Hermitian invertible metric, with its inverse carried alongside."""
+    """Hermitian invertible metric and its inverse, as read-only views.
+
+    `norm` is taken as `known_norm` when an SVD already gave it (never passed
+    on by `dataclasses.replace`) and computed on first access otherwise.
+    """
 
     matrix: np.ndarray
     inverse: np.ndarray
+    known_norm: InitVar[float | None] = None
+
+    def __post_init__(self, known_norm: float | None) -> None:
+        _store_read_only(self, matrix=self.matrix, inverse=self.inverse)
+        if known_norm is not None:
+            self.__dict__["norm"] = known_norm  # seeds the cached property
 
     @property
     def dim(self) -> int:
@@ -126,16 +137,16 @@ class EtaOperator:
     @classmethod
     def identity(cls, n: int) -> "EtaOperator":
         eye = np.eye(n, dtype=complex)
-        return cls(matrix=eye, inverse=eye.copy())
+        return cls(matrix=eye, inverse=eye)
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "EtaOperator":
         """Validate an explicit metric matrix and invert it numerically.
 
         One SVD gives ||m||_2 for both tests; the Hermiticity residual is a
-        Frobenius norm and is tested first.
+        Frobenius norm and is tested first. The metric holds its own copy of m.
         """
-        m = as_matrix(m, square=True)
+        m = as_matrix(m, square=True).copy()
         s = singular_values(m)
         scale = float(s[0]) if s.size else 0.0
         herm = frobenius_norm(m - m.conj().T)
@@ -143,9 +154,7 @@ class EtaOperator:
             raise InvalidEta(f"metric is not Hermitian (residual {herm:.3e})")
         if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, scale):
             raise InvalidEta("metric is numerically singular")
-        eta = cls(matrix=m, inverse=np.linalg.inv(m))
-        eta.norm = scale  # seeds the cached property with the value above
-        return eta
+        return cls(matrix=m, inverse=np.linalg.inv(m), known_norm=scale)
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,9 @@ class AntilinearOperator:
     """Antilinear map v -> S conj(v), stored through its linear part S."""
 
     linear_part: np.ndarray
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, linear_part=self.linear_part)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.linear_part @ np.conj(v)

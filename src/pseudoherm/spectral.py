@@ -11,7 +11,7 @@ linked when they exist with equal multiplicity.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _store_read_only,
     as_matrix,
     certified_inverse,
     cond,
@@ -46,7 +47,6 @@ __all__ = [
     "decompose",
     "classify_spectrum",
     "verify_biorthonormality",
-    "reconstruct",
 ]
 
 KIND_REAL = "Real"
@@ -78,25 +78,36 @@ class EigenCluster:
         return slice(self.start, self.stop)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BiorthonormalSystem:
-    """Eigenvalue clusters plus the paired eigenvector matrices psi and phi.
+    """Eigenvalue clusters of the matrix `h` plus the paired eigenvector
+    matrices psi and phi, all three held as read-only views.
 
-    `scale` is the 2-norm of the decomposed matrix. `psi_cond` is the exact
-    cond(psi): `decompose` seeds it when an SVD decided cond(psi) <=
-    cond_max, and it is computed on first access otherwise.
+    `scale` is the 2-norm of `h`. `psi_cond` is the exact cond(psi), taken
+    as `known_psi_cond` when an SVD already gave it (never passed on by
+    `dataclasses.replace`) and computed on first access otherwise.
     """
 
+    h: np.ndarray
     clusters: tuple[EigenCluster, ...]
     psi: np.ndarray
     phi: np.ndarray
-    dim: int
     scale: float
     cluster_tol: float
+    known_psi_cond: InitVar[float | None] = None
+
+    def __post_init__(self, known_psi_cond: float | None) -> None:
+        _store_read_only(self, h=self.h, psi=self.psi, phi=self.phi)
+        if known_psi_cond is not None:
+            self.__dict__["psi_cond"] = known_psi_cond  # seeds the cached property
 
     @cached_property
     def psi_cond(self) -> float:
         return cond(self.psi)
+
+    @property
+    def dim(self) -> int:
+        return self.psi.shape[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -160,10 +171,13 @@ def cluster_eigenvalues(
     takes the nearest free PairLower within ctol (the later one on a tie).
     Every merge and link compares a scalar complex `abs` with ctol (numpy's
     vectorised `abs` can differ in the last bit and flip a tie). Order is
-    deterministic: ascending real part, then ascending |imaginary|; a linked
-    PairLower sits right after its PairUpper. `order` is the permutation such
-    that values[order] runs through the clusters one by one, so eigenvector
-    columns reordered the same way line up with each cluster's `cols`.
+    deterministic: ascending real part, but a run of units (clusters, linked
+    pairs) whose real parts agree within ctol, chained, goes by ascending
+    |imaginary|, so rounding cannot put a pair before a Real cluster of the
+    same real part; a linked PairLower sits right after its PairUpper.
+    `order` is the permutation such that values[order] runs through the
+    clusters one by one, so eigenvector columns reordered the same way line
+    up with each cluster's `cols`.
     """
     values = np.asarray(values, dtype=complex)
     z = values.tolist()
@@ -213,9 +227,15 @@ def cluster_eigenvalues(
             units.append((v.real, abs(v.imag), -v.imag, g))
         elif kinds[g] == KIND_UPPER:
             units.append((v.real, v.imag, 0.0, g))
+    units.sort()
+    # a run of real parts, each within ctol of the last, goes by |imaginary|
+    cuts = [k for k in range(1, len(units)) if units[k][0] - units[k - 1][0] > ctol]
+    for a, b in zip([0] + cuts, cuts + [len(units)]):
+        if b - a > 1:
+            units[a:b] = sorted(units[a:b], key=lambda u: (u[1], u[2], u[0], u[3]))
     clusters: list[EigenCluster] = []
     order: list[int] = []
-    for *_, g in sorted(units):
+    for *_, g in units:
         unit = (g,) if partner[g] is None else (g, partner[g])
         for k in unit:
             link = None if partner[k] is None else len(clusters) + (1 if k == g else -1)
@@ -325,17 +345,15 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
                 f"below algebraic multiplicity {mult}"
             )
 
-    system = BiorthonormalSystem(
+    return BiorthonormalSystem(
+        h=h,
         clusters=clusters,
         psi=psi,
         phi=inverse.conj().T,
-        dim=n,
         scale=scale,
         cluster_tol=ctol,
+        known_psi_cond=psi_cond,
     )
-    if psi_cond is not None:
-        system.psi_cond = psi_cond  # seeds the cached property with the value above
-    return system
 
 
 def classify_spectrum(
@@ -369,8 +387,3 @@ def verify_biorthonormality(
         ResidualCheck("biorthonormality_left", left, threshold),
         ResidualCheck("biorthonormality_right", right, threshold),
     )
-
-
-def reconstruct(sys: BiorthonormalSystem) -> np.ndarray:
-    """Sum of value * projector over all clusters; inverts `decompose`."""
-    return (sys.psi * sys.eigenvalues) @ sys.phi.conj().T

@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _store_read_only,
     as_matrix,
     certified_inverse,
     frobenius_norm,
@@ -77,11 +78,7 @@ class PseudoSusySystem:
             h_minus = 0.5 * (self.d @ self.d_sharp)
         if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
             raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
-        arrays = {"d": self.d, "d_sharp": self.d_sharp, "h_plus": h_plus, "h_minus": h_minus}
-        for name, a in arrays.items():
-            view = a.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        _store_read_only(self, d=self.d, d_sharp=self.d_sharp, h_plus=h_plus, h_minus=h_minus)
 
     @cached_property
     def d_norm(self) -> float:
@@ -147,9 +144,9 @@ def assemble(
     """Build the graded system generated by D: plus sector -> minus sector.
 
     Rows of D live in the minus sector, columns in the plus sector; a D of
-    any other shape raises ValueError.
+    any other shape raises ValueError. The system holds its own copy of D.
     """
-    d = as_matrix(d)
+    d = as_matrix(d).copy()
     return PseudoSusySystem(d, pseudo_adjoint(d, eta_plus, eta_minus), eta_plus, eta_minus)
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _store_read_only,
     as_matrix,
     frobenius_norm,
     norm_lower_bound,
@@ -78,8 +79,8 @@ class TwoLevelParams:
 
     When the raw coefficients land on a + E = 0 the working basis is rotated
     by 45 degrees (twice at most; the second rotation flips the sign of a, so
-    it always resolves the degeneracy). `basis` maps the internal frame back:
-    original matrix = basis @ [[a, b], [c, -a]] @ basis^H.
+    it always resolves the degeneracy). `basis` (read-only) maps the internal
+    frame back: original matrix = basis @ [[a, b], [c, -a]] @ basis^H.
     """
 
     a: complex
@@ -90,6 +91,9 @@ class TwoLevelParams:
     basis: np.ndarray
     rotations: int
     scale: float
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, basis=self.basis)
 
     @classmethod
     def from_coefficients(
@@ -174,7 +178,8 @@ def _vectors(params: TwoLevelParams):
 def closed_form_system(
     params: TwoLevelParams, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> BiorthonormalSystem:
-    """Biorthonormal system with eigenvalues -E (psi1) and +E (psi2).
+    """Biorthonormal system of `params.source_matrix()` with eigenvalues -E
+    (psi1) and +E (psi2).
 
     Columns follow the deterministic cluster order used by `decompose`, so
     the output plugs into every generic operation.
@@ -183,13 +188,11 @@ def closed_form_system(
     values = np.array([-params.e, params.e])
     ctol = tol.cluster_tol(params.scale)
     clusters, order = cluster_eigenvalues(values, ctol)
-    psi_cols = [psi1, psi2]
-    phi_cols = [phi1, phi2]
     return BiorthonormalSystem(
+        h=params.source_matrix(),
         clusters=clusters,
-        psi=np.column_stack([psi_cols[i] for i in order]),
-        phi=np.column_stack([phi_cols[i] for i in order]),
-        dim=2,
+        psi=np.column_stack([psi1, psi2])[:, order],
+        phi=np.column_stack([phi1, phi2])[:, order],
         scale=params.scale,
         cluster_tol=ctol,
     )
@@ -206,7 +209,8 @@ def two_level_factorization(
     a swap metric). `classify_spectrum` decides which at the cluster
     tolerance, so this accepts exactly what `self_factorization` of the
     decomposed matrix accepts; NonRealDeterminant where it finds -E and +E
-    unpairable. The residuals are taken against `reconstruct` of the system.
+    unpairable. The residuals are taken against the traceless matrix in the
+    caller's frame, `params.source_matrix()`, which the system holds as `h`.
     """
     sys = closed_form_system(params, tol)
     if classify_spectrum(sys, tol).tag == TAG_UNPAIRABLE:

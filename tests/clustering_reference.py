@@ -1,5 +1,6 @@
 """Reference clustering: the pair-loop implementation `decompose` used before
-`spectral.cluster_eigenvalues` returned clusters directly, kept verbatim.
+`spectral.cluster_eigenvalues` returned clusters directly, kept verbatim but
+for the order of units whose real parts agree within the cluster tolerance.
 
 Tests compare the library's clusters and column order against it exactly.
 """
@@ -24,8 +25,10 @@ class _Group:
 def cluster_eigenvalues(values: np.ndarray, ctol: float) -> list[_Group]:
     """Group eigenvalues within `ctol` (transitively) and order the groups.
 
-    Order is deterministic: ascending real part, then ascending |imaginary|;
-    a PairLower group is placed immediately after its linked PairUpper.
+    Order is deterministic: ascending real part, except that units whose
+    real parts agree within ctol (chained) are ordered by ascending
+    |imaginary|, then real part; a PairLower group is placed immediately
+    after its linked PairUpper.
     """
     values = np.asarray(values, dtype=complex)
     n = values.size
@@ -96,9 +99,16 @@ def cluster_eigenvalues(values: np.ndarray, ctol: float) -> list[_Group]:
                 ((g.value.real, abs(g.value.imag), -g.value.imag), [g])
             )
             placed.add(id(g))
-    units.sort(key=lambda u: u[0])
-    for _, seq in units:
-        ordered.extend(seq)
+    # by real part; a run of units whose real parts agree within ctol
+    # (chained) then by the rest of the key, then by real part
+    units.sort(key=lambda u: u[0][0])
+    start = 0
+    for k in range(1, len(units) + 1):
+        if k == len(units) or units[k][0][0] - units[k - 1][0][0] > ctol:
+            run = sorted(units[start:k], key=lambda u: (u[0][1:], u[0][0]))
+            for _, seq in run:
+                ordered.extend(seq)
+            start = k
     return ordered
 
 

@@ -1,6 +1,7 @@
 """Reference matcher: the all-pairs `match_spectra` that `intertwine` used
 before it took candidates from a window over sorted real parts, kept
-verbatim.
+verbatim but for the unmatched zero clusters and the shared tolerance, which
+`SpectralPairing` no longer holds.
 
 Tests compare the library's pairings against it exactly.
 """
@@ -78,7 +79,6 @@ def match_spectra(
             f"eigenvalue {value:.6g} of the second system has no match"
         )
 
-    zero_unmatched1 = zero_unmatched2 = None
     if zero1 is not None and zero2 is not None:
         c1, c2 = sys1.clusters[zero1], sys2.clusters[zero2]
         matches.append(
@@ -90,16 +90,7 @@ def match_spectra(
                 is_zero=True,
             )
         )
-    else:
-        zero_unmatched1, zero_unmatched2 = zero1, zero2
 
     matches.sort(key=lambda m: m.index1)
-    return SpectralPairing(
-        system1=sys1,
-        system2=sys2,
-        matches=tuple(matches),
-        zero_unmatched1=zero_unmatched1,
-        zero_unmatched2=zero_unmatched2,
-        match_tol=mtol,
-    )
+    return SpectralPairing(system1=sys1, system2=sys2, matches=tuple(matches))
 

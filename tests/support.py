@@ -126,6 +126,12 @@ def engineered_rank_map(
     return u @ s @ v.conj().T
 
 
+def reconstruct(sys) -> np.ndarray:
+    """psi diag(eigenvalues) phi^H: the sum of value * projector over the
+    clusters of a biorthonormal system."""
+    return (sys.psi * sys.eigenvalues) @ sys.phi.conj().T
+
+
 def match_value_multisets(left, right) -> float:
     """Greedy nearest matching of two complex multisets; max pair distance."""
     left = sorted(left, key=lambda z: (z.real, z.imag))

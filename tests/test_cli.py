@@ -429,15 +429,16 @@ def command_files(tmp_path):
     return files
 
 
-def large_files(tmp_path, n):
+def large_files(tmp_path, n, shift=0.25):
     """Two isospectral n x n matrices, each with n/4 doubly degenerate real
-    eigenvalues and n/4 simple conjugate pairs, and a rank-deficient map D.
+    eigenvalues 0.5k and n/4 simple conjugate pairs 0.5k + shift +- i, and a
+    rank-deficient map D.
 
-    No pair shares its real part with a real eigenvalue, so rounding cannot
-    reorder the clusters."""
+    With the default shift no pair shares its real part with a real
+    eigenvalue; with shift 0 every pair does."""
     q = n // 4
     reals = [0.5 * k for k in range(1, q + 1)]
-    spectrum = reals * 2 + [x + 0.25 + s * 1j for x in reals for s in (1, -1)]
+    spectrum = reals * 2 + [x + shift + s * 1j for x in reals for s in (1, -1)]
     rng = np.random.default_rng(11)
     files = {
         name: write_matrix(tmp_path / f"{name}.json", matrix_with_spectrum(spectrum, rng))
@@ -750,6 +751,16 @@ class TestSubprocesses:
         assert [o[0] for o in one] == [0, 0, 0, 0]
         assert one[0][2].count(2) == 32
         assert one[3][4]["ker_d"] == 48 - 30
+
+    def test_real_cluster_precedes_the_pair_of_its_real_part(self, tmp_path):
+        # each pair 0.5k +- i has the real part of the real cluster 0.5k, so
+        # only the order rule, not eig's rounding, decides which comes first
+        files = large_files(tmp_path, 128, shift=0.0)
+        argvs = [("spectrum", "h1"), ("factor", "h1")]
+        one, two = ([self.outcome(files, argv, threads) for argv in argvs] for threads in "12")
+        assert one == two
+        assert [o[0] for o in one] == [0, 0]
+        assert one[0][2] == [2, 1, 1] * 32
 
 
 # every argument that names a file of a square matrix, given a 2x3 one

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_REAL,
     KIND_UPPER,
-    BiorthonormalSystem,
     EigenCluster,
     decompose,
-    reconstruct,
 )
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 from pseudoherm.metric import pseudo_adjoint
@@ -28,6 +27,7 @@ from support import (
     match_value_multisets,
     matrix_with_spectrum,
     random_paired_hamiltonian,
+    reconstruct,
     well_conditioned,
 )
 
@@ -68,9 +68,10 @@ class TestMatchSpectra:
         rng = np.random.default_rng(2)
         sys1 = decompose(matrix_with_spectrum([0.0, 1.0], rng))
         sys2 = decompose(np.diag([1.0]))
+        zero = next(i for i in range(len(sys1.clusters)) if sys1.is_zero_cluster(i))
         pairing = match_spectra(sys1, sys2)
-        assert pairing.zero_unmatched1 is not None
-        assert len(pairing.matches) == 1
+        assert [m.is_zero for m in pairing.matches] == [False]
+        assert zero not in [m.index1 for m in pairing.matches]
 
     def test_not_isospectral(self):
         sys1 = decompose(np.diag([1.0, 2.0]))
@@ -218,6 +219,20 @@ class TestCanonicalFactorization:
         )
         assert worst <= {c.name: c for c in fact.checks}["factorization_h1"].threshold
 
+    def test_eigenvectors_of_another_matrix_fail(self):
+        # a system carrying the eigenvectors of another matrix of the same
+        # spectrum factors that other matrix, not its own h
+        rng = np.random.default_rng(16)
+        values = [2.0, -1.0, 1 + 1j, 1 - 1j]
+        sys = decompose(matrix_with_spectrum(values, rng))
+        other = decompose(matrix_with_spectrum(values, rng))
+        tampered = replace(sys, psi=other.psi, phi=other.phi)
+        fact = self_factorization(tampered)
+        assert [c.name for c in fact.checks] == ["factorization_h1", "factorization_h2"]
+        assert not any(c.passed for c in fact.checks)
+        assert np.linalg.norm(fact.lsharp @ fact.matrix - other.h) <= 1e-10
+        assert all(c.passed for c in self_factorization(sys).checks)
+
     def test_unpairable_refused(self):
         sys = decompose(np.diag([1.0, 2 + 3j]))
         with pytest.raises(NotPseudoHermitian):
@@ -324,12 +339,7 @@ class TestVerifyIntertwining:
 
 
 def pairing_key(pairing):
-    return (
-        [(m.index1, m.index2, m.mu, m.value, m.is_zero) for m in pairing.matches],
-        pairing.zero_unmatched1,
-        pairing.zero_unmatched2,
-        pairing.match_tol,
-    )
+    return [(m.index1, m.index2, m.mu, m.value, m.is_zero) for m in pairing.matches]
 
 
 def assert_matches_reference(sys1, sys2):
@@ -345,13 +355,14 @@ def assert_matches_reference(sys1, sys2):
 
 def grid_system(values, ctol):
     """A system whose clusters carry exactly the given values (simple, in the
-    given order); only clusters and cluster_tol are read by the matcher."""
+    given order) on the identity's eigensystem; only clusters and
+    cluster_tol are read by the matcher."""
     clusters = []
     for k, v in enumerate(values):
         kind = KIND_REAL if v.imag == 0 else KIND_UPPER if v.imag > 0 else KIND_LOWER
         clusters.append(EigenCluster(complex(v), 1, kind, k))
-    eye = np.eye(len(values), dtype=complex)
-    return BiorthonormalSystem(tuple(clusters), eye, eye, len(values), 1.0, ctol)
+    identity = decompose(np.eye(len(values), dtype=complex))
+    return replace(identity, clusters=tuple(clusters), cluster_tol=ctol)
 
 
 class TestMatchSpectraWindow:

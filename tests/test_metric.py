@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -236,8 +238,10 @@ class TestEtaFromM:
 
         v = well_conditioned(3, rng)
         cols = sys.clusters[idx].cols
-        sys.psi[:, cols] = sys.psi[:, cols] @ v
-        sys.phi[:, cols] = sys.phi[:, cols] @ np.linalg.inv(v).conj().T
+        psi, phi = sys.psi.copy(), sys.phi.copy()
+        psi[:, cols] = psi[:, cols] @ v
+        phi[:, cols] = phi[:, cols] @ np.linalg.inv(v).conj().T
+        sys = replace(sys, psi=psi, phi=phi)
         real_blocks_t = []
         for i in sys.real_cluster_indices():
             real_blocks_t.append(

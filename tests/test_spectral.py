@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from pseudoherm.spectral import (
     cluster_eigenvalues,
     classify_spectrum,
     decompose,
-    reconstruct,
     verify_biorthonormality,
 )
 
@@ -25,6 +26,7 @@ from clustering_reference import build_clusters as reference_clusters
 from support import (
     matrix_with_spectrum,
     random_paired_hamiltonian,
+    reconstruct,
     well_conditioned,
 )
 
@@ -145,7 +147,7 @@ class TestBiorthonormality:
         rng = np.random.default_rng(1)
         sys = decompose(random_paired_hamiltonian(rng, 4))
         noise = 1e-3 * (rng.standard_normal(sys.phi.shape))
-        sys.phi = sys.phi + noise
+        sys = replace(sys, phi=sys.phi + noise)
         left = {c.name: c for c in verify_biorthonormality(sys)}["biorthonormality_left"]
         assert left.value == pytest.approx(1e-3, rel=5)
         assert not left.passed
@@ -353,6 +355,19 @@ class TestClusterEigenvalues:
         by_value = {c.value: c for c in clusters}
         assert clusters[by_value[1 - 1j].partner].value == 1 + d + 1j
         assert by_value[1 - d + 1j].partner is None
+
+    @pytest.mark.parametrize("d", [1e-15, -1e-15], ids=["pair_right", "pair_left"])
+    def test_real_cluster_precedes_a_pair_of_equal_real_part(self, d):
+        # the pair's real part is 1 up to rounding, on either side
+        values = np.array([1, 1, 1 + d + 1j, 1 + d - 1j, 2])
+        clusters, order = assert_matches_reference(values, 1e-8)
+        assert [(c.kind, c.multiplicity) for c in clusters] == [
+            (KIND_REAL, 2),
+            (KIND_UPPER, 1),
+            (KIND_LOWER, 1),
+            (KIND_REAL, 1),
+        ]
+        assert order == [0, 1, 2, 3, 4]
 
     def test_unlinked_upper_precedes_its_lower(self):
         # multiplicities 2 and 1 cannot link; equal |imaginary| puts the upper first

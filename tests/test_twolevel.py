@@ -11,7 +11,6 @@ from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_UPPER,
     decompose,
-    reconstruct,
     verify_biorthonormality,
 )
 from pseudoherm.twolevel import (
@@ -24,6 +23,8 @@ from pseudoherm.twolevel import (
     spin_intertwine_demo,
     two_level_factorization,
 )
+
+from support import reconstruct
 
 
 def sample_real_determinant(rng):
