@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PseudohermError, UsageError
 from .intertwine import canonical_factorization, self_factorization
-from .linalg import Tolerance
+from .linalg import ResidualCheck, Tolerance
 from .metric import EtaOperator, SignAssignment, canonical_eta, verify_pseudo_hermiticity
 from .report import (
     check_payload,
@@ -41,6 +41,9 @@ from .twolevel import (
 )
 
 ENV_TOL = "PSEUDOHERM_TOL"
+
+# what a cmd_* handler returns: the report's inputs and result, and its checks
+Outcome = tuple[dict, dict, tuple[ResidualCheck, ...]]
 
 
 def _complex_flag(text: str) -> complex:
@@ -129,25 +132,6 @@ def _resolve_tolerance(args) -> Tolerance:
         raise UsageError(str(exc)) from exc
 
 
-def _tolerance_payload(tol: Tolerance) -> dict:
-    return {"rtol": tol.rtol, "atol": tol.atol, "cond_max": tol.cond_max}
-
-
-def _base_report(command: str, inputs: dict, tol: Tolerance) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "tolerance": _tolerance_payload(tol),
-        "result": {},
-        "checks": [],
-    }
-
-
-def _finish(report: dict) -> dict:
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
-
-
 def _cluster_payload(sys) -> list[dict]:
     return [
         {
@@ -160,17 +144,14 @@ def _cluster_payload(sys) -> list[dict]:
     ]
 
 
-def _factorization_payload(report: dict, fact) -> None:
-    report["result"].update(
-        {
-            "l": fact.matrix,
-            "l_sharp": fact.lsharp,
-            "alpha": [complex_pair(a) for a in fact.intertwiner.alpha],
-            "eta1": fact.eta1.matrix,
-            "eta2": fact.eta2.matrix,
-        }
-    )
-    report["checks"].extend(check_payload(c) for c in fact.checks)
+def _factorization_payload(fact) -> dict:
+    return {
+        "l": fact.matrix,
+        "l_sharp": fact.lsharp,
+        "alpha": [complex_pair(a) for a in fact.intertwiner.alpha],
+        "eta1": fact.eta1.matrix,
+        "eta2": fact.eta2.matrix,
+    }
 
 
 def _witten_payload(wit) -> dict:
@@ -208,22 +189,20 @@ def _load_eta(path, dim: int, tol: Tolerance) -> EtaOperator:
     return EtaOperator.from_matrix(_square_matrix_file(path), tol)
 
 
-def cmd_spectrum(args, tol: Tolerance) -> dict:
-    report = _base_report("spectrum", {"matrix": file_digest(args.matrix)}, tol)
+def cmd_spectrum(args, tol: Tolerance) -> Outcome:
+    inputs = {"matrix": file_digest(args.matrix)}
     sys_ = decompose(_square_matrix_file(args.matrix), tol)
-    cls = classify_spectrum(sys_, tol)
-    report["result"] = {
-        "tag": cls.tag,
+    result = {
+        "tag": classify_spectrum(sys_).tag,
         "clusters": _cluster_payload(sys_),
         "psi": sys_.psi,
         "phi": sys_.phi,
     }
-    report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
-    return _finish(report)
+    return inputs, result, verify_biorthonormality(sys_, tol)
 
 
-def cmd_eta(args, tol: Tolerance) -> dict:
-    report = _base_report("eta", {"matrix": file_digest(args.matrix)}, tol)
+def cmd_eta(args, tol: Tolerance) -> Outcome:
+    inputs = {"matrix": file_digest(args.matrix)}
     h = _square_matrix_file(args.matrix)
     sys_ = decompose(h, tol)
     if args.signs is None:
@@ -238,42 +217,34 @@ def cmd_eta(args, tol: Tolerance) -> dict:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     eta = canonical_eta(sys_, signs)
-    check = verify_pseudo_hermiticity(h, eta, tol)
-    report["result"] = {
+    result = {
         "eta": eta.matrix,
         "eta_inverse": eta.inverse,
         "signs": list(signs.flat),
         "clusters": _cluster_payload(sys_),
     }
-    report["checks"] = [check_payload(check)]
-    return _finish(report)
+    return inputs, result, (verify_pseudo_hermiticity(h, eta, tol),)
 
 
-def cmd_factor(args, tol: Tolerance) -> dict:
-    report = _base_report("factor", {"matrix": file_digest(args.matrix)}, tol)
+def cmd_factor(args, tol: Tolerance) -> Outcome:
+    inputs = {"matrix": file_digest(args.matrix)}
     sys_ = decompose(_square_matrix_file(args.matrix), tol)
     fact = self_factorization(sys_, tol)
-    report["result"]["clusters"] = _cluster_payload(sys_)
-    _factorization_payload(report, fact)
-    return _finish(report)
+    result = {"clusters": _cluster_payload(sys_), **_factorization_payload(fact)}
+    return inputs, result, fact.checks
 
 
-def cmd_intertwine(args, tol: Tolerance) -> dict:
-    report = _base_report(
-        "intertwine",
-        {
-            "matrix1": file_digest(args.matrix1),
-            "matrix2": file_digest(args.matrix2),
-        },
-        tol,
-    )
+def cmd_intertwine(args, tol: Tolerance) -> Outcome:
+    inputs = {
+        "matrix1": file_digest(args.matrix1),
+        "matrix2": file_digest(args.matrix2),
+    }
     sys1 = decompose(_square_matrix_file(args.matrix1), tol)
     sys2 = decompose(_square_matrix_file(args.matrix2), tol)
     fact = canonical_factorization(sys1, sys2, tol)
-    _factorization_payload(report, fact)
     wit = witten_index(from_factorization(fact), tol)
-    report["result"]["witten"] = _witten_payload(wit)
-    return _finish(report)
+    result = {**_factorization_payload(fact), "witten": _witten_payload(wit)}
+    return inputs, result, fact.checks
 
 
 def _assemble_from_args(args, tol: Tolerance):
@@ -297,40 +268,25 @@ def _susy_inputs(args) -> dict:
     return inputs
 
 
-def cmd_psusy(args, tol: Tolerance) -> dict:
-    report = _base_report("psusy", _susy_inputs(args), tol)
+def cmd_psusy(args, tol: Tolerance) -> Outcome:
+    inputs = _susy_inputs(args)
     psys = _assemble_from_args(args, tol)
-    report["result"] = {
-        "h_plus": psys.h_plus,
-        "h_minus": psys.h_minus,
-        "d_sharp": psys.d_sharp,
-    }
-    return _finish(report)
+    result = {"h_plus": psys.h_plus, "h_minus": psys.h_minus, "d_sharp": psys.d_sharp}
+    return inputs, result, ()
 
 
-def cmd_witten(args, tol: Tolerance) -> dict:
-    report = _base_report("witten", _susy_inputs(args), tol)
-    psys = _assemble_from_args(args, tol)
-    wit = witten_index(psys, tol)
-    report["result"] = _witten_payload(wit)
-    report["checks"] = [check_payload(c) for c in wit.checks]
-    return _finish(report)
+def cmd_witten(args, tol: Tolerance) -> Outcome:
+    inputs = _susy_inputs(args)
+    wit = witten_index(_assemble_from_args(args, tol), tol)
+    return inputs, _witten_payload(wit), wit.checks
 
 
-def cmd_twolevel(args, tol: Tolerance) -> dict:
-    report = _base_report(
-        "twolevel",
-        {
-            "a": complex_pair(args.a),
-            "b": complex_pair(args.b),
-            "c": complex_pair(args.c),
-        },
-        tol,
-    )
+def cmd_twolevel(args, tol: Tolerance) -> Outcome:
+    inputs = {"a": complex_pair(args.a), "b": complex_pair(args.b), "c": complex_pair(args.c)}
     params = TwoLevelParams.from_coefficients(args.a, args.b, args.c, tol)
     fact = two_level_factorization(params, tol)
     sys_ = fact.intertwiner.pairing.system1  # the closed-form system
-    report["result"] = {
+    result = {
         "e": complex_pair(params.e),
         "n": complex_pair(params.n),
         "determinant": complex_pair(params.determinant()),
@@ -338,21 +294,20 @@ def cmd_twolevel(args, tol: Tolerance) -> dict:
         "clusters": _cluster_payload(sys_),
         "psi": sys_.psi,
         "phi": sys_.phi,
+        **_factorization_payload(fact),
     }
-    report["checks"] = [check_payload(c) for c in verify_biorthonormality(sys_, tol)]
-    _factorization_payload(report, fact)
-    return _finish(report)
+    return inputs, result, verify_biorthonormality(sys_, tol) + fact.checks
 
 
-def cmd_demo(args, tol: Tolerance) -> dict:
-    report = _base_report("demo", {"which": args.which, "omega": args.omega}, tol)
+def cmd_demo(args, tol: Tolerance) -> Outcome:
+    inputs = {"which": args.which, "omega": args.omega}
     run = oscillator_demo if args.which == "oscillator" else spin_intertwine_demo
     try:
         demo = run(args.omega, tol)
     except ValueError as exc:  # omega outside the demo's OMEGA_RANGE
         raise UsageError(f"--omega: {exc}") from exc
     if args.which == "oscillator":
-        report["result"] = {
+        result = {
             "hamiltonian": demo.hamiltonian,
             "psi1": vector_payload(demo.psi1),
             "psi2": vector_payload(demo.psi2),
@@ -365,14 +320,13 @@ def cmd_demo(args, tol: Tolerance) -> dict:
             "l_sharp": demo.intertwiner_sharp,
         }
     else:
-        report["result"] = {
+        result = {
             "oscillator_h": demo.oscillator_h,
             "spin_h": demo.spin_h,
             "l": demo.intertwiner,
             "l_sharp": demo.intertwiner_sharp,
         }
-    report["checks"] = [check_payload(c) for c in demo.checks]
-    return _finish(report)
+    return inputs, result, demo.checks
 
 
 _HANDLERS = {
@@ -388,15 +342,24 @@ _HANDLERS = {
 
 
 def dispatch(args, tol: Tolerance) -> dict:
-    return _HANDLERS[args.command](args, tol)
+    """Run the command's handler, which returns (inputs, result, checks), and
+    build its report around them."""
+    inputs, result, checks = _HANDLERS[args.command](args, tol)
+    checks = [check_payload(c) for c in checks]
+    return {
+        "command": args.command,
+        "inputs": inputs,
+        "tolerance": {"rtol": tol.rtol, "atol": tol.atol, "cond_max": tol.cond_max},
+        "result": result,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
 
 
 def _pretty_lines(key: str, value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, np.ndarray):
-        m = np.atleast_2d(np.asarray(value, dtype=complex))
-        entries = [[(z.real, z.imag) for z in row] for row in m.tolist()]
-        value = {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
+        value = matrix_payload(value)
     if isinstance(value, dict) and {"rows", "cols", "entries"} <= set(value):
         lines = [f"{pad}{key} ({value['rows']}x{value['cols']}):"]
         for row in value["entries"]:

@@ -100,11 +100,7 @@ class Factorization:
         return self.intertwiner.matrix
 
 
-def match_spectra(
-    sys1: BiorthonormalSystem,
-    sys2: BiorthonormalSystem,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> SpectralPairing:
+def match_spectra(sys1: BiorthonormalSystem, sys2: BiorthonormalSystem) -> SpectralPairing:
     """Match clusters of two systems by nearest eigenvalue.
 
     Each nonzero cluster of the first system, in order, takes the nearest
@@ -263,7 +259,7 @@ def canonical_factorization(
     # that comes before any NotIsospectral from the matching
     eta1 = canonical_eta(sys1, _canonical_signs(sys1, negative_flip=True))
     eta2 = canonical_eta(sys2, _canonical_signs(sys2, negative_flip=False))
-    pairing = match_spectra(sys1, sys2, tol)
+    pairing = match_spectra(sys1, sys2)
     intertwiner = build_L(pairing, _canonical_alpha(pairing))
     l = intertwiner.matrix
     lsharp = pseudo_adjoint(l, eta1, eta2)

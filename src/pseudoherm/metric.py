@@ -107,6 +107,21 @@ class SignAssignment:
         return tuple(s for _, signs in self.per_cluster for s in signs)
 
 
+def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -> float:
+    """||m||_2 from one SVD. InvalidEta naming `what` unless, when `hermitian`,
+    ||m - m^H||_F <= max(atol, rtol ||m||_2) (tested first), and unless the
+    smallest singular value exceeds `svd_cutoff`."""
+    s = singular_values(m)
+    scale = float(s[0]) if s.size else 0.0
+    if hermitian:
+        herm = frobenius_norm(m - m.conj().T)
+        if herm > max(tol.atol, tol.rtol * scale):
+            raise InvalidEta(f"{what} is not Hermitian (residual {herm:.3e})")
+    if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, scale):
+        raise InvalidEta(f"{what} is numerically singular")
+    return scale
+
+
 @dataclass(frozen=True, eq=False)
 class EtaOperator:
     """Hermitian invertible metric and its inverse, as read-only views.
@@ -143,17 +158,11 @@ class EtaOperator:
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "EtaOperator":
         """Validate an explicit metric matrix and invert it numerically.
 
-        One SVD gives ||m||_2 for both tests; the Hermiticity residual is a
-        Frobenius norm and is tested first. The metric holds its own copy of m.
+        `_validate_block` tests Hermiticity, then invertibility, from one SVD
+        that also gives ||m||_2. The metric holds its own copy of m.
         """
         m = as_matrix(m, square=True).copy()
-        s = singular_values(m)
-        scale = float(s[0]) if s.size else 0.0
-        herm = frobenius_norm(m - m.conj().T)
-        if herm > max(tol.atol, tol.rtol * scale):
-            raise InvalidEta(f"metric is not Hermitian (residual {herm:.3e})")
-        if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, scale):
-            raise InvalidEta("metric is numerically singular")
+        scale = _validate_block(m, tol, "metric", hermitian=True)
         return cls(matrix=m, inverse=np.linalg.inv(m), known_norm=scale)
 
 
@@ -292,21 +301,13 @@ def eta_from_M(
             f"expected {len(pairs)} pair blocks, got {len(pair_blocks)}"
         )
 
-    def check_block(m: np.ndarray, size: int, hermitian: bool) -> None:
+    blocks = [(i, m, "real-cluster block", True) for i, m in zip(real_idx, real_blocks)]
+    blocks += [(upper, m, "pair block", False) for (upper, _), m in zip(pairs, pair_blocks)]
+    for i, m, what, hermitian in blocks:
+        size = sys.clusters[i].multiplicity
         if m.shape != (size, size):
             raise ValueError(f"block of shape {m.shape} does not fit cluster size {size}")
-        s = singular_values(m)
-        if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, float(s[0])):
-            raise InvalidEta("singular block in metric assembly")
-        if hermitian:
-            herm = frobenius_norm(m - m.conj().T)
-            if herm > max(tol.atol, tol.rtol * float(s[0])):
-                raise InvalidEta(f"real-cluster block is not Hermitian ({herm:.3e})")
-
-    for i, m in zip(real_idx, real_blocks):
-        check_block(m, sys.clusters[i].multiplicity, hermitian=True)
-    for (upper, _), m in zip(pairs, pair_blocks):
-        check_block(m, sys.clusters[upper].multiplicity, hermitian=False)
+        _validate_block(m, tol, what, hermitian)
     eta, eta_inv = _assemble(sys, real_blocks, pair_blocks)
     return EtaOperator(matrix=eta, inverse=eta_inv)
 
@@ -339,15 +340,13 @@ def antilinear_symmetry(sys: BiorthonormalSystem) -> AntilinearOperator:
     return AntilinearOperator(linear_part=sys.psi[:, p] @ sys.phi.T)
 
 
-def hermitian_similarity(
-    sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[np.ndarray, np.ndarray, EtaOperator]:
+def hermitian_similarity(sys: BiorthonormalSystem) -> tuple[np.ndarray, np.ndarray, EtaOperator]:
     """(O, h, eta) with O H O^-1 = h real diagonal and eta = O^H O > 0.
 
     Only real-spectrum systems qualify; O = psi^-1 comes for free as phi^H,
     and eta is the all-+1 canonical metric phi phi^H.
     """
-    if classify_spectrum(sys, tol).tag != TAG_ALL_REAL:
+    if classify_spectrum(sys).tag != TAG_ALL_REAL:
         raise RealSpectrumRequired("similarity to a Hermitian matrix needs a real spectrum")
     o = sys.phi.conj().T
     h = np.diag(sys.eigenvalues.real).astype(complex)

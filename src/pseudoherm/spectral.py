@@ -356,9 +356,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     )
 
 
-def classify_spectrum(
-    sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOLERANCE
-) -> SpectrumClass:
+def classify_spectrum(sys: BiorthonormalSystem) -> SpectrumClass:
     """Classify a spectrum as AllReal, ConjugatePaired, Mixed, or Unpairable.
 
     Labels were fixed when the system was built; a complex cluster without a

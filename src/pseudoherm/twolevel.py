@@ -11,7 +11,7 @@ closed-form eigensystem, so they accept exactly what the generic path does.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def two_level_factorization(
     caller's frame, `params.source_matrix()`, which the system holds as `h`.
     """
     sys = closed_form_system(params, tol)
-    if classify_spectrum(sys, tol).tag == TAG_UNPAIRABLE:
+    if classify_spectrum(sys).tag == TAG_UNPAIRABLE:
         raise NonRealDeterminant(
             f"determinant {params.determinant():.6g} is not real at tolerance"
         )
@@ -228,6 +228,12 @@ def oscillator_hamiltonian(omega: float) -> np.ndarray:
 def spin_hamiltonian(omega: float) -> np.ndarray:
     """omega * sigma_3."""
     return np.array([[omega, 0.0], [0.0, -omega]], dtype=complex)
+
+
+def _array_fields(report) -> dict:
+    """The reference arrays of a demo report: every field but omega and checks."""
+    names = [f.name for f in fields(report) if f.name not in ("omega", "checks")]
+    return {name: getattr(report, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,9 @@ class OscillatorReport:
     intertwiner: np.ndarray
     intertwiner_sharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, **_array_fields(self))
 
 
 def oscillator_demo(
@@ -320,6 +329,9 @@ class SpinIntertwineReport:
     intertwiner: np.ndarray
     intertwiner_sharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, **_array_fields(self))
 
 
 def spin_intertwine_demo(

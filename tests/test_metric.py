@@ -220,6 +220,35 @@ class TestEtaFromM:
         with pytest.raises(InvalidEta):
             eta_from_M(sys, real_blocks=[np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(1)])
 
+    def test_non_hermitian_before_singular_block(self):
+        # the blocks share from_matrix's tests, Hermiticity first
+        rng = np.random.default_rng(8)
+        sys = decompose(matrix_with_spectrum([2.0, 2.0, 5.0], rng))
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidEta, match="real-cluster block is not Hermitian"):
+            eta_from_M(sys, real_blocks=[nilpotent, np.eye(1)])
+
+    def test_singular_pair_block_rejected(self):
+        rng = np.random.default_rng(6)
+        sys = decompose(matrix_with_spectrum([1 + 1j, 1 - 1j, 3.0], rng))
+        with pytest.raises(InvalidEta, match="pair block is numerically singular"):
+            eta_from_M(sys, real_blocks=[np.eye(1)], pair_blocks=[np.zeros((1, 1))])
+
+    def test_one_svd_per_block(self, monkeypatch):
+        import pseudoherm.metric as metric
+
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return singular_values(m)
+
+        rng = np.random.default_rng(7)
+        sys = decompose(matrix_with_spectrum([2.0, 2.0, 5.0], rng))
+        monkeypatch.setattr(metric, "singular_values", counted)
+        eta_from_M(sys, real_blocks=[positive_definite(2, rng), np.eye(1)])
+        assert sorted(calls) == [(1, 1), (2, 2)]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_basis_covariance(self, seed):
         # mixing the columns of a degenerate cluster by V and transforming the

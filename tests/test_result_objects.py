@@ -15,7 +15,7 @@ from pseudoherm.linalg import cond
 from pseudoherm.metric import EtaOperator, antilinear_symmetry
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import assemble
-from pseudoherm.twolevel import TwoLevelParams
+from pseudoherm.twolevel import TwoLevelParams, oscillator_demo, spin_intertwine_demo
 
 from support import matrix_with_spectrum, positive_definite
 
@@ -46,7 +46,9 @@ def test_every_exported_dataclass_is_frozen():
     assert thawed == []
 
 
-WITH_ARRAYS = ["sys", "eta", "fact", "intertwiner", "antilinear", "twolevel"]
+WITH_ARRAYS = [
+    "sys", "eta", "fact", "intertwiner", "antilinear", "twolevel", "oscillator", "spin"
+]
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,15 @@ def results():
         "intertwiner": (fact.intertwiner, ["matrix"]),
         "antilinear": (antilinear_symmetry(sys), ["linear_part"]),
         "twolevel": (TwoLevelParams.from_coefficients(1, 1, 1), ["basis"]),
+        "oscillator": (
+            oscillator_demo(2.0),
+            ["hamiltonian", "psi1", "psi2", "phi1", "phi2", "eta1", "eta1_inv", "eta2",
+             "intertwiner", "intertwiner_sharp"],
+        ),
+        "spin": (
+            spin_intertwine_demo(2.0),
+            ["oscillator_h", "spin_h", "intertwiner", "intertwiner_sharp"],
+        ),
     }
 
 
@@ -71,7 +82,7 @@ def test_arrays_are_read_only(results, which):
     for name in names:
         array = getattr(obj, name)
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             array *= 2.0
 
