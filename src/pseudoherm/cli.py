@@ -290,7 +290,7 @@ def cmd_twolevel(args, tol: Tolerance) -> Outcome:
         "e": complex_pair(params.e),
         "n": complex_pair(params.n),
         "determinant": complex_pair(params.determinant()),
-        "rotations": params.rotations,
+        "swapped": params.swapped,
         "clusters": _cluster_payload(sys_),
         "psi": sys_.psi,
         "phi": sys_.phi,

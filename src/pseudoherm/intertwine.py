@@ -233,7 +233,7 @@ def _cond_lower_bound(sys: BiorthonormalSystem) -> float:
     cond(psi) = ||psi||_2 ||psi^-1||_2 since phi = (psi^-1)^H.
 
     Below _EXACT_BELOW both bounds are exact, so this is the exact
-    `psi_cond`, which `decompose` already holds at those sizes.
+    `psi_cond` (one small SVD, on first access).
     """
     if sys.dim < _EXACT_BELOW:
         return sys.psi_cond

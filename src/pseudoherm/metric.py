@@ -11,7 +11,7 @@ involutive permutation, B^-1 = B, applied to the columns of phi and psi.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,10 +107,10 @@ class SignAssignment:
         return tuple(s for _, signs in self.per_cluster for s in signs)
 
 
-def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -> float:
-    """||m||_2 from one SVD. InvalidEta naming `what` unless, when `hermitian`,
+def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -> None:
+    """InvalidEta naming `what` unless, when `hermitian`,
     ||m - m^H||_F <= max(atol, rtol ||m||_2) (tested first), and unless the
-    smallest singular value exceeds `svd_cutoff`."""
+    smallest singular value exceeds `svd_cutoff`; one SVD decides both."""
     s = singular_values(m)
     scale = float(s[0]) if s.size else 0.0
     if hermitian:
@@ -119,25 +119,17 @@ def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -
             raise InvalidEta(f"{what} is not Hermitian (residual {herm:.3e})")
     if s.size == 0 or s[-1] <= tol.svd_cutoff(m.shape, scale):
         raise InvalidEta(f"{what} is numerically singular")
-    return scale
 
 
 @dataclass(frozen=True, eq=False)
 class EtaOperator:
-    """Hermitian invertible metric and its inverse, as read-only views.
-
-    `norm` is taken as `known_norm` when an SVD already gave it (never passed
-    on by `dataclasses.replace`) and computed on first access otherwise.
-    """
+    """Hermitian invertible metric and its inverse, as read-only views."""
 
     matrix: np.ndarray
     inverse: np.ndarray
-    known_norm: InitVar[float | None] = None
 
-    def __post_init__(self, known_norm: float | None) -> None:
+    def __post_init__(self) -> None:
         _store_read_only(self, matrix=self.matrix, inverse=self.inverse)
-        if known_norm is not None:
-            self.__dict__["norm"] = known_norm  # seeds the cached property
 
     @property
     def dim(self) -> int:
@@ -145,8 +137,8 @@ class EtaOperator:
 
     @cached_property
     def norm(self) -> float:
-        """||eta||_2, exact: the null-kernel cutoff atol * ||eta|| takes it
-        when the bound through ||eta||_F cannot decide."""
+        """||eta||_2, exact, computed on first access: the null-kernel cutoff
+        atol * ||eta|| takes it when the bound through ||eta||_F cannot decide."""
         return spectral_norm(self.matrix)
 
     @classmethod
@@ -158,12 +150,12 @@ class EtaOperator:
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "EtaOperator":
         """Validate an explicit metric matrix and invert it numerically.
 
-        `_validate_block` tests Hermiticity, then invertibility, from one SVD
-        that also gives ||m||_2. The metric holds its own copy of m.
+        `_validate_block` tests Hermiticity, then invertibility, from one SVD.
+        The metric holds its own copy of m.
         """
         m = as_matrix(m, square=True).copy()
-        scale = _validate_block(m, tol, "metric", hermitian=True)
-        return cls(matrix=m, inverse=np.linalg.inv(m), known_norm=scale)
+        _validate_block(m, tol, "metric", hermitian=True)
+        return cls(matrix=m, inverse=np.linalg.inv(m))
 
 
 @dataclass(frozen=True)

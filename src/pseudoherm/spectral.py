@@ -11,7 +11,7 @@ linked when they exist with equal multiplicity.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,9 +83,8 @@ class BiorthonormalSystem:
     """Eigenvalue clusters of the matrix `h` plus the paired eigenvector
     matrices psi and phi, all three held as read-only views.
 
-    `scale` is the 2-norm of `h`. `psi_cond` is the exact cond(psi), taken
-    as `known_psi_cond` when an SVD already gave it (never passed on by
-    `dataclasses.replace`) and computed on first access otherwise.
+    `scale` is the 2-norm of `h`. `psi_cond` is the exact cond(psi),
+    computed on first access.
     """
 
     h: np.ndarray
@@ -94,12 +93,9 @@ class BiorthonormalSystem:
     phi: np.ndarray
     scale: float
     cluster_tol: float
-    known_psi_cond: InitVar[float | None] = None
 
-    def __post_init__(self, known_psi_cond: float | None) -> None:
+    def __post_init__(self) -> None:
         _store_read_only(self, h=self.h, psi=self.psi, phi=self.phi)
-        if known_psi_cond is not None:
-            self.__dict__["psi_cond"] = known_psi_cond  # seeds the cached property
 
     @cached_property
     def psi_cond(self) -> float:
@@ -271,11 +267,8 @@ def _eigenvectors_certified(
     return smin > 0.0 and resid / smin + svd_rounding <= 0.5 * c_low
 
 
-def _cond_checked_inverse(
-    psi: np.ndarray, tol: Tolerance
-) -> tuple[np.ndarray, float | None]:
-    """psi^-1, once cond(psi) <= tol.cond_max is shown, and the exact
-    cond(psi) when an SVD computed it; else NonDiagonalizable.
+def _cond_checked_inverse(psi: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """psi^-1, once cond(psi) <= tol.cond_max is shown; else NonDiagonalizable.
 
     cond(psi) = s_max / s_min <= cond_max holds when s_min exceeds
     s_max / cond_max, so `certified_inverse` decides it with that cutoff; its
@@ -285,13 +278,13 @@ def _cond_checked_inverse(
     """
     inverse = certified_inverse(psi, lambda smax: smax / tol.cond_max)
     if inverse is not None:
-        return inverse, None
+        return inverse
     psi_cond = cond(psi)
     if not np.isfinite(psi_cond) or psi_cond > tol.cond_max:
         raise NonDiagonalizable(
             f"eigenvector condition number {psi_cond:.3e} exceeds {tol.cond_max:.3e}"
         )
-    return np.linalg.inv(psi), psi_cond
+    return np.linalg.inv(psi)
 
 
 def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
@@ -323,7 +316,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
 
     clusters, order = cluster_eigenvalues(values, ctol)
     psi = vectors[:, order]
-    inverse, psi_cond = _cond_checked_inverse(psi, tol)
+    inverse = _cond_checked_inverse(psi, tol)
     n = h.shape[0]
     for c in clusters:
         mult = c.multiplicity
@@ -352,7 +345,6 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
         phi=inverse.conj().T,
         scale=scale,
         cluster_tol=ctol,
-        known_psi_cond=psi_cond,
     )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -79,17 +78,6 @@ class PseudoSusySystem:
         if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
             raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
         _store_read_only(self, d=self.d, d_sharp=self.d_sharp, h_plus=h_plus, h_minus=h_minus)
-
-    @cached_property
-    def d_norm(self) -> float:
-        """`norm_lower_bound` of D (at most ||D||_2), the threshold scale
-        shared by the algebra checks and the Witten guard."""
-        return _scale(self.d)
-
-    @cached_property
-    def d_sharp_norm(self) -> float:
-        """`norm_lower_bound` of D# (at most ||D#||_2)."""
-        return _scale(self.d_sharp)
 
     @property
     def dim_plus(self) -> int:
@@ -300,7 +288,7 @@ def witten_index(
         tol.atol,
         tol.rtol
         * max(psys.dim_plus, psys.dim_minus)
-        * (1.0 + psys.d_norm + psys.d_sharp_norm),
+        * (1.0 + _scale(psys.d) + _scale(psys.d_sharp)),
     )
     d0_coords = k_minus.conj().T @ psys.d @ k_plus
     d0_flat_coords = k_plus.conj().T @ psys.d_sharp @ k_minus

@@ -54,8 +54,6 @@ __all__ = [
 # of a bound exact, so rounding cannot carry an entry past the double range.
 OMEGA_RANGE = {"oscillator": (2.0**-511, 2.0**255), "spin": (2.0**-511, 2.0**409)}
 
-_ROT45 = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 def _frequency(omega: float, which: str) -> float:
     w = float(omega)
@@ -77,10 +75,12 @@ def _principal_root(z: complex) -> complex:
 class TwoLevelParams:
     """Coefficients of a traceless 2x2 matrix, normalized so a + E != 0.
 
-    When the raw coefficients land on a + E = 0 the working basis is rotated
-    by 45 degrees (twice at most; the second rotation flips the sign of a, so
-    it always resolves the degeneracy). `basis` (read-only) maps the internal
-    frame back: original matrix = basis @ [[a, b], [c, -a]] @ basis^H.
+    When the raw coefficients land on a + E = 0 (within the cluster
+    tolerance thr) the two basis vectors are swapped, which turns (a, b, c)
+    into (-a, c, b); `swapped` records it. One swap always resolves the
+    degeneracy: |E - a| >= 2|E| - |a + E| > thr. The swap is exact and its
+    own inverse, so when `swapped` the caller's matrix is [[a, b], [c, -a]]
+    with rows and columns reversed.
     """
 
     a: complex
@@ -88,12 +88,8 @@ class TwoLevelParams:
     c: complex
     e: complex
     n: complex
-    basis: np.ndarray
-    rotations: int
+    swapped: bool
     scale: float
-
-    def __post_init__(self) -> None:
-        _store_read_only(self, basis=self.basis)
 
     @classmethod
     def from_coefficients(
@@ -115,36 +111,22 @@ class TwoLevelParams:
             raise DegenerateTwoLevel(
                 f"eigenvalue magnitude {abs(e):.3e} is below tolerance {thr:.3e}"
             )
-        basis = np.eye(2, dtype=complex)
-        rotations = 0
-        while abs(a + e) <= thr and rotations < 2:
-            m = _ROT45.conj().T @ np.array([[a, b], [c, -a]]) @ _ROT45
-            a, b, c = m[0, 0], m[0, 1], m[1, 0]
-            basis = basis @ _ROT45
-            rotations += 1
-        if abs(a + e) <= thr:
-            raise NumericalFailure("basis rotation failed to resolve a + E = 0")
+        swapped = abs(a + e) <= thr
+        if swapped:
+            a, b, c = -a, c, b
         n = 2.0 * e * (a + e)
         if not cmath.isfinite(n):
             raise NumericalFailure(f"n = 2E(a + E) = {n} is not finite")
-        return cls(
-            a=a,
-            b=b,
-            c=c,
-            e=e,
-            n=n,
-            basis=basis,
-            rotations=rotations,
-            scale=scale,
-        )
+        return cls(a=a, b=b, c=c, e=e, n=n, swapped=swapped, scale=scale)
 
     def matrix(self) -> np.ndarray:
-        """Traceless matrix in the internal (possibly rotated) frame."""
+        """Traceless matrix in the internal (possibly swapped) basis."""
         return np.array([[self.a, self.b], [self.c, -self.a]])
 
     def source_matrix(self) -> np.ndarray:
-        """Traceless matrix in the caller's frame."""
-        return self.basis @ self.matrix() @ self.basis.conj().T
+        """Traceless matrix in the caller's basis."""
+        m = self.matrix()
+        return m[::-1, ::-1] if self.swapped else m
 
     def determinant(self) -> complex:
         return -self.e * self.e
@@ -165,14 +147,14 @@ def normalize_traceless(
 
 
 def _vectors(params: TwoLevelParams):
-    """Closed-form (psi1, psi2, phi1, phi2) in the caller's frame."""
+    """Closed-form (psi1, psi2, phi1, phi2) in the caller's basis."""
     a, b, c, e, n = params.a, params.b, params.c, params.e, params.n
     psi1 = np.array([-b, a + e])
     psi2 = np.array([a + e, c])
     phi1 = np.array([-np.conj(c), np.conj(a) + np.conj(e)]) / np.conj(n)
     phi2 = np.array([np.conj(a) + np.conj(e), np.conj(b)]) / np.conj(n)
-    rot = params.basis
-    return rot @ psi1, rot @ psi2, rot @ phi1, rot @ phi2
+    vectors = (psi1, psi2, phi1, phi2)
+    return tuple(v[::-1] for v in vectors) if params.swapped else vectors
 
 
 def closed_form_system(
@@ -210,7 +192,7 @@ def two_level_factorization(
     tolerance, so this accepts exactly what `self_factorization` of the
     decomposed matrix accepts; NonRealDeterminant where it finds -E and +E
     unpairable. The residuals are taken against the traceless matrix in the
-    caller's frame, `params.source_matrix()`, which the system holds as `h`.
+    caller's basis, `params.source_matrix()`, which the system holds as `h`.
     """
     sys = closed_form_system(params, tol)
     if classify_spectrum(sys).tag == TAG_UNPAIRABLE:

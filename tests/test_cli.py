@@ -655,7 +655,7 @@ REPORT_SCHEMAS = {
     "psusy": (["d_sharp", "h_minus", "h_plus"], []),
     "witten": (WITTEN_KEYS, ["kernel_complex"]),
     "twolevel": (
-        sorted(FACTOR_KEYS + ["clusters", "determinant", "e", "n", "phi", "psi", "rotations"]),
+        sorted(FACTOR_KEYS + ["clusters", "determinant", "e", "n", "phi", "psi", "swapped"]),
         BIORTHONORMALITY + FACTOR_CHECKS,
     ),
     "demo oscillator": (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.errors import InvalidEta, NotPseudoHermitian, RealSpectrumRequired
-from pseudoherm.linalg import frobenius_norm, singular_values
+from pseudoherm.linalg import frobenius_norm, singular_values, spectral_norm
 from pseudoherm.metric import (
     EtaOperator,
     SignAssignment,
@@ -323,20 +323,26 @@ class TestEtaOperator:
             EtaOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_from_matrix_takes_one_svd(self, monkeypatch):
+        # construction validates from one SVD; the norm takes one more, once
         import pseudoherm.metric as metric
 
         calls = []
 
-        def counted(m):
-            calls.append(m.shape)
-            return singular_values(m)
+        def counted(name, f):
+            def wrapped(m):
+                calls.append(name)
+                return f(m)
 
-        monkeypatch.setattr(metric, "singular_values", counted)
-        monkeypatch.setattr(metric, "spectral_norm", None)
+            return wrapped
+
+        monkeypatch.setattr(metric, "singular_values", counted("svd", singular_values))
+        monkeypatch.setattr(metric, "spectral_norm", counted("norm", spectral_norm))
         g = positive_definite(4, np.random.default_rng(9))
         eta = EtaOperator.from_matrix(g)
-        assert calls == [(4, 4)]
+        assert calls == ["svd"]
         assert eta.norm == pytest.approx(np.linalg.norm(g, 2), rel=1e-14)
+        assert eta.norm == eta.norm
+        assert calls == ["svd", "norm"]
 
 
 class TestAntilinearSymmetry:

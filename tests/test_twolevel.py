@@ -6,6 +6,7 @@ import pytest
 from pseudoherm.cli import main
 from pseudoherm.errors import DegenerateTwoLevel, NonRealDeterminant, PseudohermError
 from pseudoherm.intertwine import canonical_factorization, self_factorization
+from pseudoherm.linalg import DEFAULT_TOLERANCE
 from pseudoherm.report import matrix_payload
 from pseudoherm.spectral import (
     KIND_LOWER,
@@ -150,23 +151,40 @@ class TestClosedFormSystem:
         assert kinds == [KIND_UPPER, KIND_LOWER]
         assert sys.clusters[0].value == pytest.approx(2j)
 
-    def test_rotation_resolves_a_plus_e_zero(self):
-        params = TwoLevelParams.from_coefficients(-1.0, 0.0, 5.0)
-        assert params.rotations == 1
-        sys = closed_form_system(params)
-        assert all(c.value <= 1e-12 for c in verify_biorthonormality(sys))
-        original = np.array([[-1.0, 0.0], [5.0, 1.0]])
-        assert np.allclose(reconstruct(sys), original, atol=1e-12)
+    @pytest.mark.parametrize(
+        "h",
+        [[[-1, 0], [5, 1]], [[-1, -2], [0, 1]], [[-1, 0], [0, 1]], [[-1j, 0], [0, 1j]]],
+        ids=["lower", "upper", "real-diagonal", "imaginary-diagonal"],
+    )
+    def test_swap_resolves_a_plus_e_zero_exactly(self, h):
+        # a + E = 0: swapping the basis vectors is exact, so nothing rounds
+        h = np.array(h, dtype=complex)
+        params = TwoLevelParams.from_coefficients(h[0, 0], h[0, 1], h[1, 0])
+        assert params.swapped
+        np.testing.assert_array_equal(params.source_matrix(), h)
+        checks = verify_biorthonormality(closed_form_system(params))
+        checks += two_level_factorization(params).checks
+        assert [c.value for c in checks] == [0.0] * 4
 
-    def test_double_rotation_corner(self):
-        # b = 2a, c = 0: one rotation lands on a = -E again, the second flips
-        params = TwoLevelParams.from_coefficients(-1.0, -2.0, 0.0)
-        assert params.rotations == 2
-        sys = closed_form_system(params)
-        assert all(c.value <= 1e-12 for c in verify_biorthonormality(sys))
-        assert np.allclose(
-            reconstruct(sys), np.array([[-1.0, -2.0], [0.0, 1.0]]), atol=1e-12
-        )
+    @pytest.mark.parametrize("e", [1.0, 1j])
+    @pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
+    def test_near_axis_swaps_only_within_tolerance(self, e, direction):
+        # |a + E| from 0 to 10 thr in steps of thr / 4, with E and bc fixed
+        step = DEFAULT_TOLERANCE.cluster_tol(
+            TwoLevelParams.from_coefficients(-e, 1.0, 0.0).scale
+        ) / 4.0
+        swaps = []
+        for k in range(41):
+            a = -e + direction * k * step
+            params = TwoLevelParams.from_coefficients(a, 1.0, e * e - a * a)
+            thr = DEFAULT_TOLERANCE.cluster_tol(params.scale)
+            assert params.swapped == (abs(a + params.e) <= thr)
+            assert abs(params.a + params.e) > thr
+            checks = verify_biorthonormality(closed_form_system(params))
+            checks += two_level_factorization(params).checks
+            assert all(c.passed for c in checks), (k, checks)
+            swaps.append(params.swapped)
+        assert any(swaps) and not all(swaps)
 
     def test_reconstructs_input(self):
         rng = np.random.default_rng(1)
