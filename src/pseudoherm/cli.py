@@ -11,6 +11,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,6 @@ from .metric import EtaOperator, SignAssignment, canonical_eta, verify_pseudo_he
 from .report import (
     check_payload,
     complex_pair,
-    file_digest,
     matrix_payload,
     parse_matrix_file,
     vector_payload,
@@ -91,17 +91,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("matrix2")
     common(p)
 
-    p = sub.add_parser("psusy", help="assemble the graded system of a map D")
-    p.add_argument("d_matrix")
-    p.add_argument("--eta-plus", default=None, help="metric file for the plus sector")
-    p.add_argument("--eta-minus", default=None, help="metric file for the minus sector")
-    common(p)
-
-    p = sub.add_parser("witten", help="Witten index report for a map D")
-    p.add_argument("d_matrix")
-    p.add_argument("--eta-plus", default=None)
-    p.add_argument("--eta-minus", default=None)
-    common(p)
+    for name, text in (
+        ("psusy", "assemble the graded system of a map D"),
+        ("witten", "Witten index report for a map D"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("d_matrix")
+        p.add_argument("--eta-plus", default=None, help="metric file for the plus sector")
+        p.add_argument("--eta-minus", default=None, help="metric file for the minus sector")
+        common(p)
 
     p = sub.add_parser("twolevel", help="closed forms for a traceless 2x2 system")
     p.add_argument("--a", type=_complex_flag, required=True, metavar="RE,IM")
@@ -157,41 +155,25 @@ def _factorization_payload(fact) -> dict:
 def _witten_payload(wit) -> dict:
     (kernel_complex,) = wit.checks
     return {
-        "d0_plus": wit.d0_plus,
-        "d0_minus": wit.d0_minus,
-        "delta": wit.delta,
-        "ker_d": wit.ker_d,
-        "ker_d_dagger": wit.ker_d_dagger,
-        "ker_d0": wit.ker_d0,
-        "ker_d0_flat": wit.ker_d0_flat,
-        "betti_plus": wit.betti_plus,
-        "betti_minus": wit.betti_minus,
-        "analytic_index_d": wit.analytic_index_d,
-        "non_null_plus": wit.non_null_plus,
-        "non_null_minus": wit.non_null_minus,
+        **{f.name: getattr(wit, f.name) for f in dataclasses.fields(wit) if f.name != "checks"},
         "non_null_kernels": wit.non_null_kernels,
         "delta_equals_analytic_d": wit.delta_equals_analytic_d,
         "complex_residual": kernel_complex.value,
     }
 
 
-def _square_matrix_file(path):
-    m = parse_matrix_file(path)
+def _read(inputs: dict, key: str, path, square: bool = True) -> np.ndarray:
+    """The matrix in the file at `path`; its digest goes to inputs[key]."""
+    m, inputs[key] = parse_matrix_file(path)
     rows, cols = m.shape
-    if rows != cols:
+    if square and rows != cols:
         raise UsageError(f"{path} holds a {rows}x{cols} matrix; a square one is needed")
     return m
 
 
-def _load_eta(path, dim: int, tol: Tolerance) -> EtaOperator:
-    if path is None:
-        return EtaOperator.identity(dim)
-    return EtaOperator.from_matrix(_square_matrix_file(path), tol)
-
-
 def cmd_spectrum(args, tol: Tolerance) -> Outcome:
-    inputs = {"matrix": file_digest(args.matrix)}
-    sys_ = decompose(_square_matrix_file(args.matrix), tol)
+    inputs: dict = {}
+    sys_ = decompose(_read(inputs, "matrix", args.matrix), tol)
     result = {
         "tag": classify_spectrum(sys_).tag,
         "clusters": _cluster_payload(sys_),
@@ -202,8 +184,8 @@ def cmd_spectrum(args, tol: Tolerance) -> Outcome:
 
 
 def cmd_eta(args, tol: Tolerance) -> Outcome:
-    inputs = {"matrix": file_digest(args.matrix)}
-    h = _square_matrix_file(args.matrix)
+    inputs: dict = {}
+    h = _read(inputs, "matrix", args.matrix)
     sys_ = decompose(h, tol)
     if args.signs is None:
         signs = SignAssignment.uniform(sys_)
@@ -227,20 +209,18 @@ def cmd_eta(args, tol: Tolerance) -> Outcome:
 
 
 def cmd_factor(args, tol: Tolerance) -> Outcome:
-    inputs = {"matrix": file_digest(args.matrix)}
-    sys_ = decompose(_square_matrix_file(args.matrix), tol)
+    inputs: dict = {}
+    sys_ = decompose(_read(inputs, "matrix", args.matrix), tol)
     fact = self_factorization(sys_, tol)
     result = {"clusters": _cluster_payload(sys_), **_factorization_payload(fact)}
     return inputs, result, fact.checks
 
 
 def cmd_intertwine(args, tol: Tolerance) -> Outcome:
-    inputs = {
-        "matrix1": file_digest(args.matrix1),
-        "matrix2": file_digest(args.matrix2),
-    }
-    sys1 = decompose(_square_matrix_file(args.matrix1), tol)
-    sys2 = decompose(_square_matrix_file(args.matrix2), tol)
+    inputs: dict = {}
+    h1 = _read(inputs, "matrix1", args.matrix1)
+    h2 = _read(inputs, "matrix2", args.matrix2)
+    sys1, sys2 = decompose(h1, tol), decompose(h2, tol)
     fact = canonical_factorization(sys1, sys2, tol)
     wit = witten_index(from_factorization(fact), tol)
     result = {**_factorization_payload(fact), "witten": _witten_payload(wit)}
@@ -248,36 +228,36 @@ def cmd_intertwine(args, tol: Tolerance) -> Outcome:
 
 
 def _assemble_from_args(args, tol: Tolerance):
-    d = parse_matrix_file(args.d_matrix)
-    eta_plus = _load_eta(args.eta_plus, d.shape[1], tol)
-    eta_minus = _load_eta(args.eta_minus, d.shape[0], tol)
+    """Read D and the metric files given, then assemble the graded system
+    (a metric not given is the identity); returns (inputs, system)."""
+    inputs: dict = {}
+    d = _read(inputs, "d_matrix", args.d_matrix, square=False)
+    given = {
+        key: _read(inputs, key, getattr(args, key))
+        for key in ("eta_plus", "eta_minus")
+        if getattr(args, key) is not None
+    }
+    eta_plus, eta_minus = (
+        EtaOperator.from_matrix(given[key], tol) if key in given else EtaOperator.identity(dim)
+        for key, dim in (("eta_plus", d.shape[1]), ("eta_minus", d.shape[0]))
+    )
     if eta_plus.dim != d.shape[1] or eta_minus.dim != d.shape[0]:
         raise UsageError(
             f"metric dimensions ({eta_plus.dim}, {eta_minus.dim}) do not fit "
             f"D of shape {d.shape}"
         )
-    return assemble(d, eta_plus, eta_minus)
-
-
-def _susy_inputs(args) -> dict:
-    inputs = {"d_matrix": file_digest(args.d_matrix)}
-    if args.eta_plus:
-        inputs["eta_plus"] = file_digest(args.eta_plus)
-    if args.eta_minus:
-        inputs["eta_minus"] = file_digest(args.eta_minus)
-    return inputs
+    return inputs, assemble(d, eta_plus, eta_minus)
 
 
 def cmd_psusy(args, tol: Tolerance) -> Outcome:
-    inputs = _susy_inputs(args)
-    psys = _assemble_from_args(args, tol)
+    inputs, psys = _assemble_from_args(args, tol)
     result = {"h_plus": psys.h_plus, "h_minus": psys.h_minus, "d_sharp": psys.d_sharp}
     return inputs, result, ()
 
 
 def cmd_witten(args, tol: Tolerance) -> Outcome:
-    inputs = _susy_inputs(args)
-    wit = witten_index(_assemble_from_args(args, tol), tol)
+    inputs, psys = _assemble_from_args(args, tol)
+    wit = witten_index(psys, tol)
     return inputs, _witten_payload(wit), wit.checks
 
 
@@ -390,36 +370,34 @@ def _matrix_chunks(m: np.ndarray, pad: str, out: list) -> None:
     out.append(f'{inner}],{inner}"rows": {rows}{pad}}}')
 
 
-def _chunks(value, pad: str, out: list) -> None:
-    """Append to `out` the text of `json.dumps(value, sort_keys=True,
-    indent=2, default=matrix_payload)` for a value on a line indented by
-    `pad` (a newline plus spaces)."""
-    if isinstance(value, np.ndarray):
-        m = np.ascontiguousarray(value, dtype=complex)
-        if m.ndim == 2 and m.size and np.isfinite(m).all():
-            _matrix_chunks(m, pad, out)
-            return
-        value = matrix_payload(m)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)) and value:
-        out.append("[")
-        for i, v in enumerate(value):
-            out.append("," + inner if i else inner)
-            _chunks(v, inner, out)
-        out.append(pad + "]")
-    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        for i, key in enumerate(sorted(value)):
-            out.append(f"{',' if i else '{'}{inner}{json.dumps(key)}: ")
-            _chunks(value[key], inner, out)
-        out.append(pad + "}")
-    elif value is None or isinstance(value, (str, int, float)):
-        out.append(json.dumps(value))
-    else:
-        # an empty container, a dict whose keys json must coerce and order,
-        # or a value json cannot encode; json's text holds no raw newline,
-        # so re-indenting it is exact
-        text = json.dumps(value, sort_keys=True, indent=2, default=matrix_payload)
-        out.append(text.replace("\n", pad))
+def _json_text(report) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2, default=matrix_payload)`.
+
+    json writes each non-empty, finite 2-d array as a placeholder string;
+    `_matrix_chunks` then writes the held array, row by row, in its place.
+    If a string or key of the report matches the placeholder's text, the
+    placeholders cannot be told apart, and json writes every array itself.
+    """
+    held: list[np.ndarray] = []
+
+    def hold(value):
+        if isinstance(value, np.ndarray):
+            m = np.ascontiguousarray(value, dtype=complex)
+            if m.ndim == 2 and m.size and np.isfinite(m).all():
+                held.append(m)
+                return "\x00"
+        return matrix_payload(value)
+
+    # json writes the placeholder "\x00" as "\u0000"
+    parts = json.dumps(report, sort_keys=True, indent=2, default=hold).split('"\\u0000"')
+    if len(parts) != len(held) + 1:
+        return json.dumps(report, sort_keys=True, indent=2, default=matrix_payload)
+    out = [parts[0]]
+    for m, before, after in zip(held, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        _matrix_chunks(m, "\n" + " " * (len(line) - len(line.lstrip(" "))), out)
+        out.append(after)
+    return "".join(out)
 
 
 def emit_report(report: dict, pretty: bool = False) -> str:
@@ -427,9 +405,7 @@ def emit_report(report: dict, pretty: bool = False) -> str:
     `json.dumps(report, sort_keys=True, indent=2, default=matrix_payload)`,
     or aligned tables with --pretty."""
     if not pretty:
-        out: list[str] = []
-        _chunks(report, "\n", out)
-        return "".join(out)
+        return _json_text(report)
     lines = [f"command: {report['command']}"]
     for k in sorted(report.get("inputs", {})):
         lines.extend(_pretty_lines(k, report["inputs"][k], indent=1))

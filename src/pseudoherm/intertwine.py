@@ -218,12 +218,12 @@ def _canonical_alpha(pairing: SpectralPairing) -> tuple[complex, ...]:
     return tuple(alpha)
 
 
-def _canonical_signs(sys: BiorthonormalSystem, negative_flip: bool) -> SignAssignment:
+def _canonical_signs(sys: BiorthonormalSystem) -> SignAssignment:
+    """-1 on negative real clusters other than the zero cluster, +1 elsewhere."""
     per = []
     for i in sys.real_cluster_indices():
         c = sys.clusters[i]
-        negative = negative_flip and not sys.is_zero_cluster(i) and c.value.real < 0
-        sign = -1 if negative else 1
+        sign = -1 if not sys.is_zero_cluster(i) and c.value.real < 0 else 1
         per.append((i, (sign,) * c.multiplicity))
     return SignAssignment(tuple(per))
 
@@ -257,8 +257,8 @@ def canonical_factorization(
     """
     # the metrics raise NotPseudoHermitian for an unpairable spectrum, so
     # that comes before any NotIsospectral from the matching
-    eta1 = canonical_eta(sys1, _canonical_signs(sys1, negative_flip=True))
-    eta2 = canonical_eta(sys2, _canonical_signs(sys2, negative_flip=False))
+    eta1 = canonical_eta(sys1, _canonical_signs(sys1))
+    eta2 = canonical_eta(sys2)
     pairing = match_spectra(sys1, sys2)
     intertwiner = build_L(pairing, _canonical_alpha(pairing))
     l = intertwiner.matrix

@@ -59,14 +59,10 @@ class SignAssignment:
     per_cluster: tuple[tuple[int, tuple[int, ...]], ...]
 
     @classmethod
-    def uniform(cls, sys: BiorthonormalSystem, sign: int = 1) -> "SignAssignment":
-        if sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+    def uniform(cls, sys: BiorthonormalSystem) -> "SignAssignment":
+        """Sign +1 on every real eigenvector."""
         return cls(
-            tuple(
-                (i, (sign,) * sys.clusters[i].multiplicity)
-                for i in sys.real_cluster_indices()
-            )
+            tuple((i, (1,) * sys.clusters[i].multiplicity) for i in sys.real_cluster_indices())
         )
 
     @classmethod

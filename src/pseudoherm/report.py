@@ -25,7 +25,6 @@ __all__ = [
     "matrix_from_payload",
     "parse_matrix_file",
     "check_payload",
-    "file_digest",
 ]
 
 
@@ -97,19 +96,24 @@ def matrix_from_payload(payload) -> np.ndarray:
     return flat.view(complex).reshape(rows, cols)
 
 
-def parse_matrix_file(path) -> np.ndarray:
-    path = Path(path)
+def parse_matrix_file(path) -> tuple[np.ndarray, dict]:
+    """The matrix in a JSON file and the digest of the bytes it was parsed
+    from, `{"path": path, "sha256": ...}` with `path` as given.
+
+    The file is read once, so a pipe (/dev/stdin, a shell's <(...)) works.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    digest = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        payload = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
-    try:
-        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-    return matrix_from_payload(payload)
+    return matrix_from_payload(payload), digest
 
 
 def check_payload(check: ResidualCheck) -> dict:
@@ -119,11 +123,3 @@ def check_payload(check: ResidualCheck) -> dict:
         "threshold": float(check.threshold),
         "passed": bool(check.passed),
     }
-
-
-def file_digest(path) -> dict:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}

@@ -119,13 +119,9 @@ class TwoLevelParams:
             raise NumericalFailure(f"n = 2E(a + E) = {n} is not finite")
         return cls(a=a, b=b, c=c, e=e, n=n, swapped=swapped, scale=scale)
 
-    def matrix(self) -> np.ndarray:
-        """Traceless matrix in the internal (possibly swapped) basis."""
-        return np.array([[self.a, self.b], [self.c, -self.a]])
-
     def source_matrix(self) -> np.ndarray:
         """Traceless matrix in the caller's basis."""
-        m = self.matrix()
+        m = np.array([[self.a, self.b], [self.c, -self.a]])
         return m[::-1, ::-1] if self.swapped else m
 
     def determinant(self) -> complex:

@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,11 +9,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -64,10 +67,11 @@ class TestMatrixFile:
     def test_one_by_one(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"rows":1,"cols":1,"entries":[[[1,0]]]}')
-        assert np.allclose(parse_matrix_file(p), np.eye(1))
+        m, _ = parse_matrix_file(p)
+        assert np.allclose(m, np.eye(1))
 
     def test_oscillator_round_trip(self, tmp_path, osc_file):
-        m = parse_matrix_file(osc_file)
+        m, _ = parse_matrix_file(osc_file)
         assert np.array_equal(m, np.array([[0, 1j], [-4j, 0]]))
 
     def test_shape_mismatch(self, tmp_path):
@@ -236,6 +240,17 @@ class TestIntertwineCommand:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "NotPseudoHermitian"
 
+    def test_malformed_second_file_exits_two_before_any_decomposition(
+        self, capsys, tmp_path
+    ):
+        jordan = write_matrix(tmp_path / "jordan.json", [[1.0, 1.0], [0.0, 1.0]])
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        assert main(["intertwine", jordan, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{bad} is not valid JSON" in err
+
 
 class TestPsusyWittenCommands:
     def test_psusy_identity_metrics(self, capsys, tmp_path):
@@ -272,6 +287,17 @@ class TestPsusyWittenCommands:
         code, out = run(capsys, "witten", f, "--eta-plus", bad)
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InvalidEta"
+
+    def test_malformed_metric_exits_two_before_any_metric_is_built(self, capsys, tmp_path):
+        f = write_matrix(tmp_path / "d.json", np.eye(2))
+        non_hermitian = write_matrix(tmp_path / "nh.json", [[1.0, 1.0], [0.0, 1.0]])
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 2}')
+        argv = ["psusy", f, "--eta-plus", non_hermitian, "--eta-minus", str(bad)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "missing rows/cols/entries" in err
 
 
 class TestTwoLevelCommand:
@@ -613,6 +639,10 @@ class TestEmitReport:
 
     @settings(max_examples=300, deadline=None)
     @given(report_like)
+    # strings and keys whose JSON text is the placeholder's, next to arrays
+    @example({"a": np.eye(2), "b": "\x00"})
+    @example({"\x00": [np.eye(2), np.ones((1, 3))], "z": np.eye(1)})
+    @example(['x"\x00', np.eye(2), "\x00x"])
     def test_matches_json_dumps(self, value):
         assert emit_report(value) == dumps(value)
 
@@ -761,6 +791,34 @@ class TestSubprocesses:
         assert one == two
         assert [o[0] for o in one] == [0, 0]
         assert one[0][2] == [2, 1, 1] * 32
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=argv_id)
+    def test_each_file_is_read_once(self, capsys, monkeypatch, command_files, argv):
+        argv = [command_files.get(a, a) for a in argv]
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(argv) == 0
+        files = set(command_files.values())
+        assert {f: opened[f] for f in files} == {f: argv.count(f) for f in files}
+
+    def test_matrix_piped_to_dev_stdin(self, osc_file):
+        data = Path(osc_file).read_bytes()
+        with cli_subprocess(
+            "factor", "/dev/stdin", stdin=subprocess.PIPE, stdout=subprocess.PIPE
+        ) as proc:
+            out, _ = proc.communicate(data, timeout=120)
+        assert proc.returncode == 0
+        digest = {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}
+        assert json.loads(out)["inputs"]["matrix"] == digest
 
 
 # every argument that names a file of a square matrix, given a 2x3 one
