@@ -186,14 +186,16 @@ def cmd_spectrum(args, tol: Tolerance) -> Outcome:
 def cmd_eta(args, tol: Tolerance) -> Outcome:
     inputs: dict = {}
     h = _read(inputs, "matrix", args.matrix)
-    sys_ = decompose(h, tol)
-    if args.signs is None:
-        signs = SignAssignment.uniform(sys_)
-    else:
+    flat = None
+    if args.signs is not None:
         try:
             flat = [int(s) for s in args.signs.split(",")]
         except ValueError as exc:
             raise UsageError(f"--signs must be comma-separated integers: {exc}") from exc
+    sys_ = decompose(h, tol)
+    if flat is None:
+        signs = SignAssignment.uniform(sys_)
+    else:
         try:
             signs = SignAssignment.from_flat(sys_, flat)
         except ValueError as exc:
@@ -232,20 +234,20 @@ def _assemble_from_args(args, tol: Tolerance):
     (a metric not given is the identity); returns (inputs, system)."""
     inputs: dict = {}
     d = _read(inputs, "d_matrix", args.d_matrix, square=False)
+    dims = {"eta_plus": d.shape[1], "eta_minus": d.shape[0]}
     given = {
         key: _read(inputs, key, getattr(args, key))
-        for key in ("eta_plus", "eta_minus")
+        for key in dims
         if getattr(args, key) is not None
     }
+    # shapes first: a metric that cannot fit D is a usage error, whatever it holds
+    if any(len(m) != dims[key] for key, m in given.items()):
+        found = tuple(len(given[key]) if key in given else dim for key, dim in dims.items())
+        raise UsageError(f"metric dimensions {found} do not fit D of shape {d.shape}")
     eta_plus, eta_minus = (
         EtaOperator.from_matrix(given[key], tol) if key in given else EtaOperator.identity(dim)
-        for key, dim in (("eta_plus", d.shape[1]), ("eta_minus", d.shape[0]))
+        for key, dim in dims.items()
     )
-    if eta_plus.dim != d.shape[1] or eta_minus.dim != d.shape[0]:
-        raise UsageError(
-            f"metric dimensions ({eta_plus.dim}, {eta_minus.dim}) do not fit "
-            f"D of shape {d.shape}"
-        )
     return inputs, assemble(d, eta_plus, eta_minus)
 
 

@@ -10,12 +10,13 @@ stricter than its 2-norm form. A threshold scale is `norm_lower_bound`, never
 larger than the 2-norm, so a threshold is never looser. The clustering scale
 ||H|| is an exact 2-norm (`spectral_norm`): a bound would change which
 clusters merge. Two more decisions compare against exact norms, cond(psi)
-against `cond_max` and the null-kernel cutoff atol * ||eta||, and an empty
-kernel is an SVD's decision too; each first tries a one-sided certificate from
-matrices already held (`certified_inverse` bounds the smallest singular value
-from below, ||eta||_F bounds ||eta||_2 from above), and the exact SVD
-(`cond`, `spectral_norm`, `kernel_basis`) runs only when the certificate
-cannot decide, so every outcome is the one the SVD gives.
+against `cond_max` and the null-kernel cutoff atol * ||eta||; each first
+tries a one-sided certificate from matrices already held (`certified_inverse`
+bounds the smallest singular value from below, ||eta||_F bounds ||eta||_2
+from above), and the exact SVD (`cond`, `spectral_norm`) runs only when the
+certificate cannot decide, so every outcome is the one the SVD gives. Every
+rank and kernel decision shares one cutoff (`rank`, `singular_system`,
+`kernel_basis`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "eig",
     "singular_values",
     "rank",
+    "singular_system",
     "kernel_basis",
 ]
 
@@ -272,14 +274,35 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
+def _rank_of(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> int:
+    """Number of the descending singular values `s` of a matrix of `shape`
+    above max(atol, max(m,n)*rtol*s_max): the cutoff of every rank and kernel
+    decision."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > tol.svd_cutoff(shape, float(s[0]))))
+
+
 def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Numerical rank: singular values above max(atol, max(m,n)*rtol*s_max)."""
     a = as_matrix(m)
+    return _rank_of(singular_values(a), a.shape, tol)
+
+
+def singular_system(
+    m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full SVD m = u diag(s) vh and the numerical rank r under `rank`'s cutoff.
+
+    u and vh are square unitary, so u[:, r:] is an orthonormal basis of the
+    numerical kernel of m^H and vh[r:].conj().T one of that of m.
+    """
+    a = as_matrix(m)
+    rows, cols = a.shape
     if a.size == 0:
-        return 0
-    s = singular_values(a)
-    cutoff = tol.svd_cutoff(a.shape, float(s[0]))
-    return int(np.count_nonzero(s > cutoff))
+        return np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex), 0
+    u, s, vh = np.linalg.svd(a)
+    return u, s, vh, _rank_of(s, a.shape, tol)
 
 
 def kernel_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -288,10 +311,5 @@ def kernel_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
     Shares the rank cutoff, so rank(m) + kernel dim = number of columns.
     Returns an (n, 0) array when the kernel is trivial.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    cutoff = tol.svd_cutoff(a.shape, float(s[0]))
-    nnz = int(np.count_nonzero(s > cutoff))
-    return vh[nnz:].conj().T
+    _, _, vh, r = singular_system(m, tol)
+    return vh[r:].conj().T

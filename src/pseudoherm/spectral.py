@@ -28,7 +28,6 @@ from .linalg import (
     eig,
     frobenius_norm,
     rank,
-    singular_values,
     spectral_norm,
 )
 
@@ -242,29 +241,66 @@ def cluster_eigenvalues(
     return tuple(clusters), order
 
 
-def _eigenvectors_certified(
-    h: np.ndarray, block: np.ndarray, value: complex, scale: float, tol: Tolerance
-) -> bool:
-    """True when `block` proves n - rank(h - value*I, tol) >= block.shape[1].
+def _column_sq(m: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each column of m."""
+    return np.sum(m.real**2 + m.imag**2, axis=0)
 
-    `scale` is ||H||_2. With V = block and R = H V - value V, Courant-Fischer
-    bounds mu singular values of H - value I by ||R||_F / sigma_min(V).
-    rank's cutoff is at least c_low = tol.svd_cutoff((n, n), ||H|| - |value|),
-    as sigma_max(H - value I) >= ||H|| - |value|. The bound is taken with
-    the rounding of R and sigma_min(V) added, so nearly parallel columns
-    cannot certify on noise; together with the SVD's own rounding
-    (n eps ||H - value I||) it must stay within c_low / 2, and the other
-    half absorbs the rounding of the cutoff itself.
+
+def _eigenvectors_certified(
+    h: np.ndarray,
+    psi: np.ndarray,
+    degenerate: list[EigenCluster],
+    scale: float,
+    ctol: float,
+    tol: Tolerance,
+) -> np.ndarray:
+    """Per cluster of `degenerate`, True when its columns V of psi prove
+    n - rank(h - value*I, shifted) >= multiplicity, where `shifted` is `tol`
+    with atol widened to 2 * multiplicity * ctol, as in `decompose`.
+
+    `scale` is ||H||_2. With R = H V - value V, Courant-Fischer bounds mu
+    singular values of H - value I by ||R||_F / sigma_min(V). rank's cutoff
+    is at least c_low = shifted.svd_cutoff((n, n), ||H|| - |value|), as
+    sigma_max(H - value I) >= ||H|| - |value|. The bound is taken with the
+    rounding of R and sigma_min(V) added, so nearly parallel columns cannot
+    certify on noise; together with the SVD's own rounding
+    (n eps ||H - value I||) it must stay within c_low / 2, and the other half
+    absorbs the rounding of the cutoff itself.
+
+    One product H B - B diag(values) covers the columns B of every cluster,
+    and each cluster's Frobenius norms are sums over its column range.
+    sigma_min(V)^2 is the smallest eigenvalue of the Gram matrix V^H V, from
+    one stacked `eigvalsh` per multiplicity; forming V^H V and its
+    eigenvalues moves them by at most 2 (n + mu + 2) eps ||V||_F^2 (a
+    complex inner product of length n, and eigvalsh's backward error), which
+    is subtracted before the square root.
     """
-    n = block.shape[0]
+    if not degenerate:
+        return np.zeros(0, dtype=bool)
+    n = h.shape[0]
     eps = np.finfo(float).eps
-    c_low = tol.svd_cutoff((n, n), max(scale - abs(value), 0.0))
-    vnorm = float(np.linalg.norm(block))
-    smin = float(singular_values(block)[-1]) - n * eps * vnorm
-    resid = float(np.linalg.norm(h @ block - value * block))
-    resid += n * eps * (np.sqrt(n) * scale + abs(value)) * vnorm
-    svd_rounding = n * eps * (scale + abs(value))
-    return smin > 0.0 and resid / smin + svd_rounding <= 0.5 * c_low
+    mults = np.array([c.multiplicity for c in degenerate])
+    values = np.array([c.value for c in degenerate])
+    starts = np.cumsum(mults) - mults
+    block = psi[:, np.concatenate([np.arange(c.start, c.stop) for c in degenerate])]
+    residual = h @ block - block * np.repeat(values, mults)
+    resid = np.sqrt(np.add.reduceat(_column_sq(residual), starts))
+    vnorm = np.sqrt(np.add.reduceat(_column_sq(block), starts))
+    gram_min = np.empty(len(degenerate))
+    for mu in np.unique(mults):
+        which = np.flatnonzero(mults == mu)
+        stacked = block[:, starts[which, None] + np.arange(mu)].transpose(1, 0, 2)
+        gram = stacked.conj().transpose(0, 2, 1) @ stacked
+        gram_min[which] = np.linalg.eigvalsh(gram)[:, 0]
+    smin = np.sqrt(np.maximum(gram_min - 2.0 * (n + mults + 2) * eps * vnorm**2, 0.0))
+    size = np.abs(values)
+    resid += n * eps * (np.sqrt(n) * scale + size) * vnorm
+    svd_rounding = n * eps * (scale + size)
+    atol = np.maximum(tol.atol, 2.0 * mults * ctol)
+    c_low = np.maximum(atol, n * tol.rtol * np.maximum(scale - size, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # smin = 0 fails below
+        bound = resid / smin + svd_rounding
+    return (smin > 0.0) & (bound <= 0.5 * c_low)
 
 
 def _cond_checked_inverse(psi: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -307,7 +343,9 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     ||H V - lambda V||_F / sigma_min(V). When the bound, with its rounding,
     is at most half the lowest value the rank cutoff can take, the SVD could
     only agree and is skipped. Otherwise (nearly parallel columns, near-Jordan
-    blocks) the SVD decides as before.
+    blocks) the SVD decides as before. The certificates of all clusters are
+    taken together (`_eigenvectors_certified`), with sigma_min(V) from Gram
+    matrices instead of one SVD per cluster.
     """
     h = as_matrix(h, square=True)
     values, vectors = eig(h)
@@ -318,18 +356,18 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     psi = vectors[:, order]
     inverse = _cond_checked_inverse(psi, tol)
     n = h.shape[0]
-    for c in clusters:
-        mult = c.multiplicity
-        if mult < 2:
+    degenerate = [c for c in clusters if c.multiplicity > 1]
+    certified = _eigenvectors_certified(h, psi, degenerate, scale, ctol, tol)
+    for c, ok in zip(degenerate, certified):
+        if ok:
             continue
+        mult = c.multiplicity
         # clusters may span up to mult*ctol after transitive merging
         shifted_tol = Tolerance(
             rtol=tol.rtol,
             atol=max(tol.atol, 2.0 * mult * ctol),
             cond_max=tol.cond_max,
         )
-        if _eigenvectors_certified(h, psi[:, c.cols], c.value, scale, shifted_tol):
-            continue
         # rank shares kernel_basis's cutoff, so n - rank is the kernel dimension
         geometric = n - rank(h - c.value * np.eye(n), shifted_tol)
         if geometric < mult:

@@ -13,6 +13,9 @@ them is checked. What can fail is reported: the extended algebra of
 caller-supplied generators, and the Witten index, which counts zero modes of
 the partners, with the kernel complex it is read from and whether it equals
 the analytic index of D (expected when no kernel vector is metric-null).
+Every zero-mode count comes from one SVD of D, or from its singular values
+alone when D is square and invertible; no n x n factorization of H+ or H-
+is made.
 """
 
 from __future__ import annotations
@@ -33,11 +36,10 @@ from .linalg import (
     Tolerance,
     _store_read_only,
     as_matrix,
-    certified_inverse,
     frobenius_norm,
-    kernel_basis,
     norm_lower_bound,
     rank,
+    singular_system,
     spectral_norm,
 )
 from .metric import EtaOperator, pseudo_adjoint
@@ -92,15 +94,21 @@ class PseudoSusySystem:
 class WittenReport:
     """Zero-mode counts, Betti numbers, and the index identity they feed.
 
-    delta = d0_plus - d0_minus equals betti_plus - betti_minus by
-    construction, and `analytic_index_d` = ker_d - ker_d_dagger equals
-    dim_plus - dim_minus by rank-nullity; `delta_equals_analytic_d` is the
-    index theorem, expected whenever `non_null_kernels` holds.
+    With r the numerical rank of D, n+ and n- the sector dimensions, and z+
+    (z-) the number of metric-null directions of ker D (ker D#):
+    d0_plus = n+ - r + z-, d0_minus = n- - r + z+, ker_d0 = ker_d = n+ - r,
+    ker_d0_flat = ker_d_dagger = n- - r, betti_plus = n+ - r - z+ and
+    betti_minus = n- - r - z-, so no count is negative. ker_d0 and
+    ker_d0_flat always equal ker_d and ker_d_dagger; they stay as fields of
+    the report's schema. delta = d0_plus - d0_minus equals
+    betti_plus - betti_minus by construction, and `analytic_index_d` =
+    ker_d - ker_d_dagger equals dim_plus - dim_minus by rank-nullity;
+    `delta_equals_analytic_d` is the index theorem, which holds whenever
+    `non_null_kernels` does.
 
     `checks`: `kernel_complex` (the kernel maps composed both ways) against
-    the containment guard. `witten_index` raises NumericalFailure instead of
-    returning when D ker(H+) or D# ker(H-) leaves the kernels by more than
-    that guard.
+    max(atol, rtol max(n+, n-) (1 + ||D|| + ||D#||)), with `norm_lower_bound`
+    scales.
     """
 
     d0_plus: int
@@ -223,39 +231,71 @@ def verify_algebra(
     return tuple(checks)
 
 
-def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
-    """True when eta restricted to span(kernel) has no zero eigenvalue.
+def _null_modes(basis: np.ndarray, eta: EtaOperator, tol: Tolerance) -> np.ndarray:
+    """Coordinates of the metric-null directions of span(basis), one column
+    each; `basis` has orthonormal columns.
 
-    The test is basis-independent: every kernel vector v that diagonalizes
-    the restricted form has |<v, eta v>| above atol * ||eta||_2. An empty
-    kernel passes. ||eta||_F bounds ||eta||_2 from above, so a smallest
-    |eigenvalue| above atol * ||eta||_F, widened by n^2 eps for the rounding
-    of both norms, passes under the exact rule too; only below that does the
-    exact `eta.norm` (an SVD) decide.
+    A direction is null when its eigenvalue of the restricted form
+    basis^H eta basis has modulus at most atol * ||eta||_2, so the count is
+    basis-independent. ||eta||_F bounds ||eta||_2 from above, so an
+    eigenvalue above atol * ||eta||_F, widened by n^2 eps for the rounding of
+    both norms, is not null under the exact rule either; only when one is at
+    or below that does the exact `eta.norm` (an SVD) decide.
     """
-    if kernel.shape[1] == 0:
-        return True
-    restricted = kernel.conj().T @ eta.matrix @ kernel
-    restricted = 0.5 * (restricted + restricted.conj().T)
-    smallest = float(np.min(np.abs(np.linalg.eigvalsh(restricted))))
+    if basis.shape[1] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    restricted = basis.conj().T @ eta.matrix @ basis
+    values, vectors = np.linalg.eigh(0.5 * (restricted + restricted.conj().T))
+    size = np.abs(values)
     rounding = eta.dim**2 * np.finfo(float).eps
-    if smallest > tol.atol * frobenius_norm(eta.matrix) * (1.0 + rounding):
-        return True
-    return smallest > tol.atol * eta.norm
+    null = size <= tol.atol * frobenius_norm(eta.matrix) * (1.0 + rounding)
+    if null.any():
+        null = size <= tol.atol * eta.norm
+    return vectors[:, null]
 
 
-def _kernel(h: np.ndarray, injective: bool, tol: Tolerance) -> np.ndarray:
-    """kernel_basis(h, tol), or the empty basis that `certified_inverse`
-    proves when D is injective on the sector.
+def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
+    """True when eta restricted to span(kernel) has no null direction
+    (`_null_modes`); an empty kernel passes."""
+    return _null_modes(kernel, eta, tol).shape[1] == 0
 
-    ker D lies in the kernel of H+ (and ker D# in that of H-), so a sector on
-    which D is not injective has a kernel and goes straight to the SVD.
+
+def _orthonormal(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of m, which has full column rank."""
+    return np.linalg.qr(m)[0] if m.shape[1] else m
+
+
+def _kernels(psys: PseudoSusySystem, tol: Tolerance) -> tuple[int, np.ndarray, np.ndarray]:
+    """rank(D) and orthonormal bases of ker H+ and ker H-, from one SVD of D.
+
+    With D = U S V^H of numerical rank r, V_perp = V[:, r:] spans ker D and
+    K# = orth(eta_minus^-1 U[:, r:]) spans ker D# = eta_minus^-1 ker D^H.
+    ker H+ = ker(D# D) is ker D plus the preimage under D of
+    ker D# & range D, and that intersection is spanned by the metric-null
+    directions of K# (eta_minus K# spans ker D^H, the orthogonal complement
+    of range D); its preimage is D^+ = V_r S_r^-1 U_r^H applied to them.
+    Likewise ker H- is K# plus the preimage under D# of ker D & range D#,
+    the metric-null directions x of V_perp, taken back by
+    eta_minus^-1 U_r S_r^-1 V_r^H eta_plus x. Without null directions the
+    kernels are V_perp and K#, and no basis is widened.
     """
-    if injective and certified_inverse(
-        h, lambda smax: tol.svd_cutoff(h.shape, smax)
-    ) is not None:
-        return np.zeros((h.shape[0], 0), dtype=complex)
-    return kernel_basis(h, tol)
+    u, s, vh, r = singular_system(psys.d, tol)
+    eta_plus, eta_minus = psys.eta_plus, psys.eta_minus
+    v_perp = vh[r:].conj().T
+    k_sharp = _orthonormal(eta_minus.inverse @ u[:, r:])
+    k_plus, k_minus = v_perp, k_sharp
+    inv_s = 1.0 / s[:r, None]
+    null_minus = k_sharp @ _null_modes(k_sharp, eta_minus, tol)
+    if null_minus.shape[1]:
+        preimage = vh[:r].conj().T @ (inv_s * (u[:, :r].conj().T @ null_minus))
+        k_plus = _orthonormal(np.hstack([v_perp, preimage]))
+    null_plus = v_perp @ _null_modes(v_perp, eta_plus, tol)
+    if null_plus.shape[1]:
+        preimage = eta_minus.inverse @ (
+            u[:, :r] @ (inv_s * (vh[:r] @ (eta_plus.matrix @ null_plus)))
+        )
+        k_minus = _orthonormal(np.hstack([k_sharp, preimage]))
+    return r, k_plus, k_minus
 
 
 def witten_index(
@@ -263,59 +303,39 @@ def witten_index(
 ) -> WittenReport:
     """Count zero modes of the partners and evaluate the index identities.
 
-    D and D# are restricted to the kernels of H+/H- in orthonormal kernel
-    coordinates (D maps zero modes to zero modes; that containment is asserted
-    numerically before ranks are trusted). The restricted maps compose to
-    zero both ways, so they form a two-step complex whose Betti numbers
-    reproduce the index; the analytic index of D itself matches whenever both
-    sectors are free of null zero modes.
+    Every count comes from one SVD of D, of numerical rank r under `rank`'s
+    cutoff (`_kernels`). ker D lies in ker H+ and ker D# in ker H-, so
+    ker D0 = ker D and ker D0# = ker D# for the restrictions D0, D0# of D and
+    D# to the kernels of H+ and H-. D0 has rank z- = dim ker H+ - (n+ - r),
+    the number of metric-null directions of ker D#, and D0# has rank z+, that
+    of ker D; the Betti numbers of the complex are n+ - r - z+ and
+    n- - r - z-, never negative. When r = n+ = n-, D is invertible, every
+    kernel is empty, and the singular values alone decide.
 
-    rank(D) comes first (singular values only). When it equals a sector's
-    dimension (D injective for H+, surjective for H-), the sector's kernel
-    is first shown empty by `certified_inverse` under the cutoff of
-    `kernel_basis`; otherwise, or when the bound cannot decide,
-    `kernel_basis` computes the kernel by an SVD.
+    The restricted maps compose to zero both ways; `kernel_complex` reports
+    how far from zero they come in the computed kernel coordinates.
     """
-    rank_d = rank(psys.d, tol)
-    k_plus = _kernel(psys.h_plus, rank_d == psys.dim_plus, tol)
-    k_minus = _kernel(psys.h_minus, rank_d == psys.dim_minus, tol)
+    d, n_plus, n_minus = psys.d, psys.dim_plus, psys.dim_minus
+    if n_plus == n_minus and rank(d, tol) == n_plus:
+        rank_d = n_plus
+        k_plus = k_minus = np.zeros((n_plus, 0), dtype=complex)
+    else:
+        rank_d, k_plus, k_minus = _kernels(psys, tol)
     d0_plus = k_plus.shape[1]
     d0_minus = k_minus.shape[1]
+    ker_d = n_plus - rank_d
+    ker_d_dagger = n_minus - rank_d
 
-    # containment guard: D ker(H+) inside ker(H-), and the converse for D#;
-    # the residuals are the parts of D K+ and D# K- outside the kernels
     guard = max(
         tol.atol,
-        tol.rtol
-        * max(psys.dim_plus, psys.dim_minus)
-        * (1.0 + _scale(psys.d) + _scale(psys.d_sharp)),
+        tol.rtol * max(n_plus, n_minus) * (1.0 + _scale(d) + _scale(psys.d_sharp)),
     )
-    d0_coords = k_minus.conj().T @ psys.d @ k_plus
+    d0_coords = k_minus.conj().T @ d @ k_plus
     d0_flat_coords = k_plus.conj().T @ psys.d_sharp @ k_minus
-    kernel_map_residual = max(
-        frobenius_norm(psys.d @ k_plus - k_minus @ d0_coords),
-        frobenius_norm(psys.d_sharp @ k_minus - k_plus @ d0_flat_coords),
-    )
-    if kernel_map_residual > guard:
-        raise NumericalFailure(
-            f"zero modes are not mapped into zero modes "
-            f"(residual {kernel_map_residual:.3e} > {guard:.3e})"
-        )
-
     complex_residual = max(
         frobenius_norm(d0_coords @ d0_flat_coords),
         frobenius_norm(d0_flat_coords @ d0_coords),
     )
-
-    rank_d0 = rank(d0_coords, tol)
-    rank_d0_flat = rank(d0_flat_coords, tol)
-    ker_d = psys.dim_plus - rank_d
-    ker_d_dagger = psys.dim_minus - rank_d
-    ker_d0 = d0_plus - rank_d0
-    ker_d0_flat = d0_minus - rank_d0_flat
-
-    betti_plus = ker_d0 - rank_d0_flat
-    betti_minus = ker_d0_flat - rank_d0
 
     return WittenReport(
         d0_plus=d0_plus,
@@ -323,10 +343,10 @@ def witten_index(
         delta=d0_plus - d0_minus,
         ker_d=ker_d,
         ker_d_dagger=ker_d_dagger,
-        ker_d0=ker_d0,
-        ker_d0_flat=ker_d0_flat,
-        betti_plus=betti_plus,
-        betti_minus=betti_minus,
+        ker_d0=ker_d,
+        ker_d0_flat=ker_d_dagger,
+        betti_plus=ker_d - (d0_minus - ker_d_dagger),
+        betti_minus=ker_d_dagger - (d0_plus - ker_d),
         analytic_index_d=ker_d - ker_d_dagger,
         non_null_plus=_non_null(k_plus, psys.eta_plus, tol),
         non_null_minus=_non_null(k_minus, psys.eta_minus, tol),

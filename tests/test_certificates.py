@@ -1,7 +1,9 @@
-"""Certificates that let the pair pipeline skip an SVD: an empty Witten
-kernel, cond(psi) <= cond_max and a non-null metric restriction are each
-first decided from matrices already held, and every decision must equal the
-one the exact SVD rule makes.
+"""Certificates that let the pair pipeline skip an SVD: cond(psi) <=
+cond_max and a non-null metric restriction are each first decided from
+matrices already held, and every decision must equal the one the exact SVD
+rule makes. `certified_inverse` is also checked under a rank cutoff, where it
+must never pass a matrix with a kernel. The Witten counts take no
+certificate: they come from D's singular values, or one SVD of D.
 """
 
 import re
@@ -35,7 +37,7 @@ def with_singular_values(s, rng):
 
 
 def kernel_cutoff(h, tol=DEFAULT_TOLERANCE):
-    """kernel_basis's cutoff as a function of s_max, as witten_index passes it."""
+    """kernel_basis's cutoff as a function of s_max."""
     return lambda smax: tol.svd_cutoff(h.shape, smax)
 
 
@@ -235,23 +237,26 @@ class TestCounts:
         h1 = matrix_with_spectrum(values, rng)
         h2 = matrix_with_spectrum(values, rng)
         calls = svd_counter(monkeypatch)
-        kernels = spy(monkeypatch, susy, "kernel_basis")
+        systems = spy(monkeypatch, susy, "singular_system")
         wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.delta) == (0, 0, 0)
-        assert calls == [False, False, False]  # two ||H||, one rank(D)
-        assert kernels == []
+        assert calls == [False, False, False]  # two ||H||, one of D's singular values
+        assert systems == []
 
-    def test_pair_with_a_zero_cluster_reaches_kernel_basis(self, monkeypatch):
+    def test_pair_with_a_zero_cluster_takes_one_svd_of_d(self, monkeypatch):
         rng = np.random.default_rng(5)
         values = [0.0] + draw_spectrum(rng, 39, allow_degenerate=False)
         h1 = matrix_with_spectrum(values, rng)
         h2 = matrix_with_spectrum(values, rng)
-        certificates = spy(monkeypatch, susy, "certified_inverse")
-        kernels = spy(monkeypatch, susy, "kernel_basis")
+        calls = svd_counter(monkeypatch)
+        systems = spy(monkeypatch, susy, "singular_system")
         wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.ker_d, wit.ker_d_dagger) == (1, 1, 1, 1)
-        assert len(kernels) == 2
-        assert certificates == []  # ker D != 0 on both sectors: no certificate tried
+        assert (wit.betti_plus, wit.betti_minus) == (1, 1)
+        # two ||H||, D's singular values, then one SVD of D with vectors;
+        # no n x n SVD of H+ or H-
+        assert calls == [False, False, False, True]
+        assert len(systems) == 1
 
     def test_witten_flags_match_kernel_basis_on_benchmark_pairs(self, bench_inputs):
         for workload in ("pair_simple", "pair_degenerate"):

@@ -252,6 +252,14 @@ class TestIntertwineCommand:
         assert f"{bad} is not valid JSON" in err
 
 
+    def test_malformed_signs_exit_two_before_any_decomposition(self, capsys, tmp_path):
+        jordan = write_matrix(tmp_path / "jordan.json", [[1.0, 1.0], [0.0, 1.0]])
+        assert main(["eta", jordan, "--signs=x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--signs must be comma-separated integers" in err
+
+
 class TestPsusyWittenCommands:
     def test_psusy_identity_metrics(self, capsys, tmp_path):
         f = write_matrix(tmp_path / "d.json", [[0.0, 1.0], [1.0, 0.0]])
@@ -280,6 +288,28 @@ class TestPsusyWittenCommands:
         )
         assert code == 0
         assert json.loads(out)["result"]["delta"] == 0
+
+    @pytest.mark.parametrize("s, zero_modes", [(1e-3, 0), (1e-5, 0), (1e-7, 0), (1e-9, 1)])
+    def test_witten_betti_numbers_follow_the_rank_of_d(self, capsys, tmp_path, s, zero_modes):
+        # rank's cutoff for D = diag(1, s) is 2 rtol = 2e-8: only s = 1e-9
+        # is a zero mode, and it is one in both sectors and in the complex
+        f = write_matrix(tmp_path / "d.json", np.diag([1.0, s]))
+        code, out = run(capsys, "witten", f)
+        assert code == 0
+        result = json.loads(out)["result"]
+        counts = ("d0_plus", "d0_minus", "ker_d", "ker_d_dagger", "betti_plus", "betti_minus")
+        assert [result[k] for k in counts] == [zero_modes] * len(counts)
+        assert result["delta"] == 0 and result["delta_equals_analytic_d"] is True
+
+    def test_metric_of_the_wrong_size_exits_two_before_it_is_validated(
+        self, capsys, tmp_path
+    ):
+        d = write_matrix(tmp_path / "d23.json", np.ones((2, 3)))
+        non_hermitian = write_matrix(tmp_path / "nh.json", [[1.0, 1.0], [0.0, 1.0]])
+        assert main(["psusy", d, "--eta-plus", non_hermitian]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "metric dimensions (2, 2) do not fit D of shape (2, 3)" in err
 
     def test_non_hermitian_metric_exits_one(self, capsys, tmp_path):
         f = write_matrix(tmp_path / "d.json", np.eye(2))

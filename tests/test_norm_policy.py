@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoherm.intertwine import canonical_factorization, verify_intertwining
-from pseudoherm.linalg import DEFAULT_TOLERANCE, ResidualCheck, kernel_basis, norm_lower_bound
+from pseudoherm.linalg import DEFAULT_TOLERANCE, ResidualCheck, norm_lower_bound
 from pseudoherm.metric import verify_pseudo_hermiticity
 from pseudoherm.spectral import decompose, verify_biorthonormality
 from pseudoherm.susy import from_factorization, verify_algebra, witten_index
@@ -118,7 +118,13 @@ def reference(h1, h2, sys1, sys2, fact, psys, generators, value, pair, scale):
             0.5 * sector(pij + sign * pji, mij + sign * mji),
             tol.rtol * combo[i] * combo[j] * hscale,
         ))
-    kp, km = kernel_basis(hp, tol), kernel_basis(hm, tol)
+    # kernel coordinates from D's SVD: ker H+ = ker D and ker H- = ker D#
+    # (the pair pipeline's zero modes are not metric-null), empty when D is
+    # square and of full rank
+    u, s, vh = np.linalg.svd(d)
+    r = int(np.count_nonzero(s > tol.svd_cutoff(d.shape, float(s[0]))))
+    kp, w = vh[r:].conj().T, u[:, r:]
+    km = np.linalg.qr(fact.eta2.inverse @ w)[0] if w.shape[1] else w
     d0 = km.conj().T @ d @ kp
     d0f = kp.conj().T @ ds @ km
     guard = max(tol.atol, tol.rtol * max(d.shape) * (1 + scale(d) + scale(ds)))

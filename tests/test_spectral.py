@@ -260,6 +260,51 @@ class TestEigenvectorCertificate:
             rejected = True
         assert rejected == svd_rule_rejects(h)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mult=st.integers(2, 3),
+        jordan=st.booleans(),
+        log_eps=st.floats(-12.0, -3.0),
+        exact=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_certifies_only_clusters_with_enough_eigenvectors(
+        self, mult, jordan, log_eps, exact, seed
+    ):
+        # a cluster of mult values eps apart at lam: a near-Jordan chain
+        # (ones above the diagonal) or a diagonalizable split, next to
+        # `exact` clusters of exact multiplicity; the clustering width spans
+        # the planted cluster, so every one reaches the certificate
+        rng = np.random.default_rng(seed)
+        eps = 10.0**log_eps
+        points = rng.permutation(np.arange(-6, 7))[: exact + 3] * 0.5
+        lam = points[0]
+        near = np.diag(lam + eps * np.arange(mult)).astype(complex)
+        if jordan:
+            near += np.diag(np.ones(mult - 1), 1)
+        rest = [points[1 + k] for k in range(exact) for _ in range(mult)] + list(points[exact + 1 :])
+        diag = np.zeros((mult + len(rest),) * 2, dtype=complex)
+        diag[:mult, :mult] = near
+        diag[mult:, mult:] = np.diag(rest)
+        n = diag.shape[0]
+        v = well_conditioned(n, rng)
+        h = v @ diag @ np.linalg.inv(v)
+        values, vectors = np.linalg.eig(h)
+        scale = float(np.linalg.norm(h, 2))
+        tol = DEFAULT_TOLERANCE
+        ctol = max(tol.cluster_tol(scale), 2.0 * mult * eps)
+        clusters, order = cluster_eigenvalues(values, ctol)
+        degenerate = [c for c in clusters if c.multiplicity > 1]
+        certified = spectral._eigenvectors_certified(
+            h, vectors[:, order], degenerate, scale, ctol, tol
+        )
+        for c, ok in zip(degenerate, certified):
+            if ok:
+                shifted = Tolerance(atol=max(tol.atol, 2.0 * c.multiplicity * ctol))
+                s = np.linalg.svd(h - c.value * np.eye(n), compute_uv=False)
+                cutoff = shifted.svd_cutoff(h.shape, float(s[0]))
+                assert np.count_nonzero(s <= cutoff) >= c.multiplicity
+
     def test_rank_runs_only_when_the_certificate_cannot_decide(self, monkeypatch):
         calls = []
         real_rank = spectral.rank

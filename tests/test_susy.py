@@ -4,11 +4,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import susy
-from pseudoherm.errors import NumericalFailure
 from pseudoherm.intertwine import canonical_factorization, self_factorization
-from pseudoherm.linalg import DEFAULT_TOLERANCE, frobenius_norm, norm_lower_bound
+from pseudoherm.linalg import (
+    DEFAULT_TOLERANCE,
+    frobenius_norm,
+    kernel_basis,
+    norm_lower_bound,
+    rank,
+)
 from pseudoherm.metric import EtaOperator
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import (
@@ -26,6 +33,7 @@ from support import (
     match_value_multisets,
     matrix_with_spectrum,
     positive_definite,
+    random_unitary,
     well_conditioned,
 )
 
@@ -39,6 +47,13 @@ def random_susy_system(rng, rows=None, cols=None, deficiency=None):
     eta_p = EtaOperator.from_matrix(positive_definite(cols, rng))
     eta_m = EtaOperator.from_matrix(positive_definite(rows, rng))
     return assemble(d, eta_p, eta_m)
+
+
+def direct_sum(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
 
 
 class TestAssemble:
@@ -314,6 +329,67 @@ class TestNullKernelCheck:
         assert witten_index(psys).non_null_minus
 
 
+def null_count(basis, eta, tol=DEFAULT_TOLERANCE):
+    """Eigenvalues of eta on span(basis) (orthonormal) of modulus at most
+    atol * ||eta||_2."""
+    if basis.shape[1] == 0:
+        return 0
+    values = np.linalg.eigvalsh(basis.conj().T @ eta @ basis)
+    return int(np.count_nonzero(np.abs(values) <= tol.atol * np.linalg.norm(eta, 2)))
+
+
+def random_metric(n, definite, rng):
+    signs = np.ones(n) if definite else rng.choice([-1.0, 1.0], size=n)
+    u = random_unitary(n, rng)
+    return EtaOperator.from_matrix((u * (signs * rng.uniform(0.5, 2.0, size=n))) @ u.conj().T)
+
+
+class TestWittenCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 16),
+        zeros=st.integers(0, 12),
+        definite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_from_the_rank_of_d(self, rows, cols, zeros, definite, seed):
+        # D = U diag(sigma) V^H with sigma log-uniform on [1e-14, 1] and some
+        # planted exact zeros, so singular values fall on both sides of rank's
+        # cutoff and far below sqrt(n rtol), where H+- = D# D / 2, D D# / 2
+        # hold them squared
+        rng = np.random.default_rng(seed)
+        k = min(rows, cols)
+        sigma = 10.0 ** rng.uniform(-14.0, 0.0, size=k)
+        sigma[: min(zeros, k)] = 0.0
+        u, v = random_unitary(rows, rng)[:, :k], random_unitary(cols, rng)[:, :k]
+        eta_p, eta_m = random_metric(cols, definite, rng), random_metric(rows, definite, rng)
+        psys = assemble((u * sigma) @ v.conj().T, eta_p, eta_m)
+        wit = witten_index(psys)
+
+        r = rank(psys.d)
+        # the forms of the metrics on ker D and on ker D# = eta-^-1 ker D^H
+        uu, _, vh = np.linalg.svd(psys.d)
+        v_perp = vh[r:].conj().T
+        w = uu[:, r:]
+        k_sharp = np.linalg.qr(eta_m.inverse @ w)[0] if w.shape[1] else w
+        z_plus = null_count(v_perp, eta_p.matrix)
+        z_minus = null_count(k_sharp, eta_m.matrix)
+        assert wit.ker_d == wit.ker_d0 == cols - r
+        assert wit.ker_d_dagger == wit.ker_d0_flat == rows - r
+        assert (wit.d0_plus, wit.d0_minus) == (cols - r + z_minus, rows - r + z_plus)
+        assert (wit.betti_plus, wit.betti_minus) == (cols - r - z_plus, rows - r - z_minus)
+        dimensions = ("d0_plus", "d0_minus", "ker_d", "ker_d_dagger", "ker_d0",
+                      "ker_d0_flat", "betti_plus", "betti_minus")
+        assert min(getattr(wit, name) for name in dimensions) >= 0
+        assert wit.delta == wit.betti_plus - wit.betti_minus == wit.d0_plus - wit.d0_minus
+        assert wit.analytic_index_d == cols - rows
+        if wit.non_null_kernels:
+            assert wit.delta_equals_analytic_d
+        if definite:
+            assert (wit.d0_plus, wit.d0_minus) == (wit.ker_d, wit.ker_d_dagger)
+
+
 class TestWittenIndex:
     def test_diagonal_example(self):
         psys = assemble(
@@ -335,23 +411,45 @@ class TestWittenIndex:
         assert wit.analytic_index_d == 1
         assert wit.non_null_kernels
 
-    @pytest.mark.parametrize("field", ["h_plus", "h_minus"])
-    def test_zero_modes_outside_the_kernels_raise(self, monkeypatch, field):
-        # D = diag(0, 1) gives H+- = diag(0, 0.5); handing out e2 as one
-        # sector's kernel makes D (or D#) map a zero mode onto a nonzero mode
+    @pytest.mark.parametrize("null", ["minus", "plus", "both"])
+    def test_metric_null_zero_modes_widen_the_kernels(self, null):
+        # the anti-diagonal metric on C^3 is null on e3 and on e1. With
+        # D = e3 (3 x 1) and eta- anti-diagonal, D e1 = e3 spans ker D# & range D
+        # (z- = 1), so ker H+ is the preimage of e3, outside ker D = 0. The
+        # transposed system puts the null mode in ker D & range D# (z+ = 1)
+        # and widens ker H- instead; "both" is their direct sum. Random
+        # unitary frames hide the structure from the SVD.
+        anti = np.fliplr(np.eye(3))
+        e3 = np.array([[0.0], [0.0], [1.0]])
+        blocks = {
+            "minus": (e3, np.eye(1), anti),
+            "plus": (e3.T, anti, np.eye(1)),
+        }
+        if null == "both":
+            d, eta_p, eta_m = map(direct_sum, blocks["minus"], blocks["plus"])
+        else:
+            d, eta_p, eta_m = blocks[null]
+        rng = np.random.default_rng(7)
+        up, um = random_unitary(d.shape[1], rng), random_unitary(d.shape[0], rng)
         psys = assemble(
-            np.diag([0.0, 1.0]), EtaOperator.identity(2), EtaOperator.identity(2)
+            um @ d @ up.conj().T,
+            EtaOperator.from_matrix(up @ eta_p @ up.conj().T),
+            EtaOperator.from_matrix(um @ eta_m @ um.conj().T),
         )
-        kernel = susy._kernel
-
-        def wrong_kernel(h, injective, tol):
-            if h is getattr(psys, field):
-                return np.array([[0.0], [1.0]], dtype=complex)
-            return kernel(h, injective, tol)
-
-        monkeypatch.setattr(susy, "_kernel", wrong_kernel)
-        with pytest.raises(NumericalFailure, match="residual 1.000e"):
-            witten_index(psys)
+        wit = witten_index(psys)
+        z_plus, z_minus = int(null != "minus"), int(null != "plus")
+        rank_d = 2 if null == "both" else 1
+        assert wit.ker_d == wit.ker_d0 == psys.dim_plus - rank_d
+        assert wit.ker_d_dagger == wit.ker_d0_flat == psys.dim_minus - rank_d
+        assert (wit.d0_plus, wit.d0_minus) == (wit.ker_d + z_minus, wit.ker_d_dagger + z_plus)
+        assert (wit.betti_plus, wit.betti_minus) == (wit.ker_d - z_plus, wit.ker_d_dagger - z_minus)
+        assert (wit.non_null_plus, wit.non_null_minus) == (not z_plus, not z_minus)
+        assert wit.delta_equals_analytic_d == (z_plus == z_minus)
+        _, k_plus, k_minus = susy._kernels(psys, DEFAULT_TOLERANCE)
+        for h, k in ((psys.h_plus, k_plus), (psys.h_minus, k_minus)):
+            assert k.shape[1] == kernel_basis(h).shape[1]
+            assert frobenius_norm(k.conj().T @ k - np.eye(k.shape[1])) <= 1e-14
+            assert frobenius_norm(h @ k) <= 1e-14
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identities_on_random_systems(self, seed):
