@@ -2,10 +2,11 @@
 
 A map D from the plus sector to the minus sector, together with metrics
 eta_plus/eta_minus, generates partner Hamiltonians H+ = D# D / 2 and
-H- = D D# / 2. The graded system stores D, D# and the metrics, and forms
-H+ and H- from them once, so they cannot get out of step. In block form the
-grading is tau = diag(I, -I), the nilpotent supercharge Q = [[0, 0], [D, 0]],
-its adjoint Q# = [[0, D#], [0, 0]], the Hamiltonian H = diag(H+, H-) and the
+H- = D D# / 2. The graded system stores only D, D# and the metrics, and
+forms H+ and H- from them on each access, so they cannot get out of step
+and no n x n product is kept alive. In block form the grading is
+tau = diag(I, -I), the nilpotent supercharge Q = [[0, 0], [D, 0]], its
+adjoint Q# = [[0, D#], [0, 0]], the Hamiltonian H = diag(H+, H-) and the
 metric diag(eta_plus, eta_minus); no block matrix is built. Q^2 = 0,
 (Q#)^2 = 0, {tau, Q} = 0 and [eta, tau] = 0 hold by that layout, and
 {Q, Q#} = 2H and [Q, H] = 0 by the definition of H+ and H-, so none of
@@ -21,7 +22,7 @@ is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -54,32 +55,61 @@ __all__ = [
 ]
 
 
+def _half_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b / 2 as a fresh read-only array."""
+    h = 0.5 * (a @ b)
+    h.flags.writeable = False
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class PseudoSusySystem:
     """The graded system generated by D: plus sector -> minus sector.
 
-    D, D# and the two metrics are its data. H+ = D# D / 2 and H- = D D# / 2
-    are formed from them at construction (NumericalFailure when either is not
-    finite) and are neither arguments nor assignable, so
-    `dataclasses.replace` that changes D or D# forms them anew. D, D#, H+
-    and H- are held as read-only views, so no write in place can put H+ and
-    H- out of step with D; the caller's arrays keep their own flags.
+    D, D# and the two metrics are its data, and it holds nothing else. D must
+    be (n-, n+) and D# (n+, n-) for the metric dimensions n+ and n-
+    (ValueError otherwise). H+ = D# D / 2 and H- = D D# / 2 are properties:
+    each access forms a fresh read-only array from D and D#, so
+    `dataclasses.replace` that changes D or D# changes them too, and they
+    cannot be passed in or assigned. Construction raises NumericalFailure
+    when either is not finite, without forming them when
+    ||D#||_F ||D||_F certifies that both are. D and D# are held as read-only
+    views, so no write in place can change them; the caller's arrays keep
+    their own flags.
     """
 
     d: np.ndarray
     d_sharp: np.ndarray
     eta_plus: EtaOperator
     eta_minus: EtaOperator
-    h_plus: np.ndarray = field(init=False)
-    h_minus: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):  # decided by the test below
-            h_plus = 0.5 * (self.d_sharp @ self.d)
-            h_minus = 0.5 * (self.d @ self.d_sharp)
-        if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
-            raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
-        _store_read_only(self, d=self.d, d_sharp=self.d_sharp, h_plus=h_plus, h_minus=h_minus)
+        n_plus, n_minus = self.eta_plus.dim, self.eta_minus.dim
+        if np.shape(self.d) != (n_minus, n_plus) or np.shape(self.d_sharp) != (n_plus, n_minus):
+            raise ValueError(
+                f"D of shape {np.shape(self.d)} and D# of shape {np.shape(self.d_sharp)} "
+                f"do not fit metrics of dims {n_plus} -> {n_minus}"
+            )
+        _store_read_only(self, d=self.d, d_sharp=self.d_sharp)
+        # Every entry and partial sum of D# D and D D# is at most
+        # ||D#||_F ||D||_F; the factor 4 covers rounding and complex
+        # arithmetic. A NaN or infinite bound forms both products.
+        bound = frobenius_norm(self.d_sharp) * frobenius_norm(self.d)
+        if not bound <= np.finfo(float).max / 4:
+            with np.errstate(over="ignore", invalid="ignore"):  # decided by the test below
+                finite = np.all(np.isfinite(self.h_plus)) and np.all(np.isfinite(self.h_minus))
+            if not finite:
+                raise NumericalFailure("H+ = D# D / 2 or H- = D D# / 2 is not finite")
+
+    @property
+    def h_plus(self) -> np.ndarray:
+        """H+ = D# D / 2, formed anew on each access (read-only)."""
+        return _half_product(self.d_sharp, self.d)
+
+    @property
+    def h_minus(self) -> np.ndarray:
+        """H- = D D# / 2, formed anew on each access (read-only)."""
+        return _half_product(self.d, self.d_sharp)
 
     @property
     def dim_plus(self) -> int:

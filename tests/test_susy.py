@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import susy
+from pseudoherm.errors import NumericalFailure
 from pseudoherm.intertwine import canonical_factorization, self_factorization
 from pseudoherm.linalg import (
     DEFAULT_TOLERANCE,
@@ -16,7 +18,7 @@ from pseudoherm.linalg import (
     norm_lower_bound,
     rank,
 )
-from pseudoherm.metric import EtaOperator
+from pseudoherm.metric import EtaOperator, pseudo_adjoint
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import (
     PseudoSusySystem,
@@ -84,11 +86,9 @@ class TestAssemble:
 
     def test_stores_only_sector_matrices(self):
         assert [f.name for f in fields(PseudoSusySystem)] == [
-            "d", "d_sharp", "eta_plus", "eta_minus", "h_plus", "h_minus"
-        ]
-        assert [f.name for f in fields(PseudoSusySystem) if f.init] == [
             "d", "d_sharp", "eta_plus", "eta_minus"
         ]
+        assert all(f.init for f in fields(PseudoSusySystem))
 
     def test_partners_are_derived_and_fixed(self):
         rng = np.random.default_rng(1)
@@ -100,7 +100,7 @@ class TestAssemble:
             assert np.array_equal(psys.h_plus, 0.5 * (psys.d_sharp @ psys.d))
             assert np.array_equal(psys.h_minus, 0.5 * (psys.d @ psys.d_sharp))
             for name in ("h_plus", "h_minus"):
-                with pytest.raises(ValueError, match="init=False"):
+                with pytest.raises(TypeError, match="unexpected keyword argument"):
                     replace(psys, **{name: np.zeros_like(getattr(psys, name))})
                 with pytest.raises(FrozenInstanceError):
                     setattr(psys, name, np.zeros_like(getattr(psys, name)))
@@ -127,6 +127,47 @@ class TestAssemble:
             doubled = replace(psys, d=2.0 * psys.d)
             assert np.array_equal(doubled.h_plus, 0.5 * (psys.d_sharp @ (2.0 * psys.d)))
             assert not doubled.d.flags.writeable
+
+    @pytest.mark.parametrize(
+        "d, d_sharp, n_plus, n_minus",
+        [
+            (np.eye(2), np.eye(2, 3), 2, 3),  # D is not (n-, n+)
+            (np.eye(3, 2), np.eye(3, 2), 2, 3),  # D# is not (n+, n-)
+            (np.eye(2), np.eye(2), 3, 2),  # eta_plus does not fit D's columns
+            (np.eye(2), np.eye(2), 2, 3),  # eta_minus does not fit D's rows
+        ],
+    )
+    def test_shapes_must_fit_the_metrics(self, d, d_sharp, n_plus, n_minus):
+        with pytest.raises(ValueError, match="do not fit"):
+            PseudoSusySystem(
+                d, d_sharp, EtaOperator.identity(n_plus), EtaOperator.identity(n_minus)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        k=st.integers(140, 160),
+        definite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raises_exactly_when_a_partner_is_not_finite(self, rows, cols, k, definite, seed):
+        # scales around 1e154, where D# D first overflows, so both the
+        # ||D#||_F ||D||_F certificate and the formed products decide
+        rng = np.random.default_rng(seed)
+        d = 10.0**k * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        eta_p, eta_m = random_metric(cols, definite, rng), random_metric(rows, definite, rng)
+        d_sharp = pseudo_adjoint(d, eta_p, eta_m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_plus, h_minus = 0.5 * (d_sharp @ d), 0.5 * (d @ d_sharp)
+        if not (np.all(np.isfinite(h_plus)) and np.all(np.isfinite(h_minus))):
+            with pytest.raises(NumericalFailure, match="not finite"):
+                PseudoSusySystem(d, d_sharp, eta_p, eta_m)
+            return
+        psys = PseudoSusySystem(d, d_sharp, eta_p, eta_m)
+        assert np.all(np.isfinite(psys.h_plus)) and np.all(np.isfinite(psys.h_minus))
+        assert np.array_equal(psys.h_plus, h_plus)
+        assert np.array_equal(psys.h_minus, h_minus)
 
     def test_caller_arrays_stay_writable(self):
         d, d_sharp = np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)
@@ -557,3 +598,36 @@ def test_from_factorization_takes_d_sharp_from_the_factorization():
     assert np.array_equal(psys.d_sharp, np.sqrt(2.0) * fact.lsharp)
     adjoint = fact.eta1.inverse @ psys.d.conj().T @ fact.eta2.matrix
     assert frobenius_norm(psys.d_sharp - adjoint) <= 1e-12 * frobenius_norm(adjoint)
+
+
+def _traced_peak(call):
+    """`call()` and the peak of tracemalloc's traced memory while it ran, in
+    bytes above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_graded_system_keeps_no_partner_arrays():
+    # D and D# are the only n x n arrays the system allocates; witten_index on
+    # an invertible square D reads singular values only and allocates none
+    n = 128
+    rng = np.random.default_rng(12)
+    values = draw_spectrum(rng, n)
+    fact = canonical_factorization(
+        decompose(matrix_with_spectrum(values, rng)),
+        decompose(matrix_with_spectrum(values, rng)),
+    )
+    matrix_bytes = n * n * np.dtype(complex).itemsize
+    psys, peak = _traced_peak(lambda: from_factorization(fact))
+    assert peak <= 2.1 * matrix_bytes
+    assert rank(psys.d) == n
+    witten_index(psys)  # first call: caches and lazy imports
+    wit, peak = _traced_peak(lambda: witten_index(psys))
+    assert (wit.d0_plus, wit.d0_minus) == (0, 0)
+    assert peak < matrix_bytes / 4
