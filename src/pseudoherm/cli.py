@@ -189,7 +189,9 @@ def cmd_eta(args, tol: Tolerance) -> Outcome:
     flat = None
     if args.signs is not None:
         try:
-            flat = [int(s) for s in args.signs.split(",")]
+            # an empty value is the empty list, for a spectrum with no real
+            # eigenvector
+            flat = [int(s) for s in args.signs.split(",")] if args.signs else []
         except ValueError as exc:
             raise UsageError(f"--signs must be comma-separated integers: {exc}") from exc
     sys_ = decompose(h, tol)

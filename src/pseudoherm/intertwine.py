@@ -220,12 +220,11 @@ def _canonical_alpha(pairing: SpectralPairing) -> tuple[complex, ...]:
 
 def _canonical_signs(sys: BiorthonormalSystem) -> SignAssignment:
     """-1 on negative real clusters other than the zero cluster, +1 elsewhere."""
-    per = []
+    flat = []
     for i in sys.real_cluster_indices():
         c = sys.clusters[i]
-        sign = -1 if not sys.is_zero_cluster(i) and c.value.real < 0 else 1
-        per.append((i, (sign,) * c.multiplicity))
-    return SignAssignment(tuple(per))
+        flat += [-1 if not sys.is_zero_cluster(i) and c.value.real < 0 else 1] * c.multiplicity
+    return SignAssignment.from_flat(sys, flat)
 
 
 def _cond_lower_bound(sys: BiorthonormalSystem) -> float:

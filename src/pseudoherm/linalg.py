@@ -153,7 +153,9 @@ def frobenius_norm(m: np.ndarray) -> float:
 # Below this smaller dimension one SVD is cheaper than the power iteration,
 # so the exact norm is returned there (2-core machine, one BLAS thread,
 # complex n x n: 76 us against 133 us at n = 16, 185 us against 140 us at
-# n = 32); `certified_inverse` is not tried below it either.
+# n = 32). `certified_inverse` is tried at every size: against cond (one
+# SVD) plus the inverse it costs 21 against 13 us at n = 2, 33 against 43 us
+# at n = 16 and 70 against 128 us at n = 31 (same machine).
 _EXACT_BELOW = 32
 _POWER_STEPS = 8
 
@@ -237,11 +239,10 @@ def certified_inverse(
     (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14). Less
     the SVD's own rounding (n eps ||a||_F), the bound must exceed twice the
     cutoff: the other half absorbs the rounding of the cutoff itself, as in
-    `spectral._eigenvectors_certified`. Below a dimension of _EXACT_BELOW
-    the SVD is the cheaper way to decide, so the certificate is not tried.
+    `spectral._eigenvectors_certified`. It is tried at every size but 0.
     """
     n = a.shape[0]
-    if a.shape != (n, n) or n < _EXACT_BELOW:
+    if a.shape != (n, n) or n == 0:
         return None
     with np.errstate(all="ignore"):
         try:

@@ -29,9 +29,11 @@ from .linalg import (
     spectral_norm,
 )
 from .spectral import (
+    KIND_REAL,
     TAG_ALL_REAL,
     TAG_UNPAIRABLE,
     BiorthonormalSystem,
+    EigenCluster,
     classify_spectrum,
 )
 
@@ -50,57 +52,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """One sign (+1/-1) per eigenvector of every real cluster.
+    """One sign per real eigenvector, in column order, for the clusters
+    `clusters`. Paired clusters carry no signs.
 
-    `per_cluster` maps cluster index -> sign tuple of length d_n. Paired
-    clusters carry no signs.
+    The constructor is the one place signs are checked: `flat` must hold one
+    entry per real eigenvector, each exactly +1 or -1 (1.0 and -1.0 are
+    stored as ints).
     """
 
-    per_cluster: tuple[tuple[int, tuple[int, ...]], ...]
+    clusters: tuple[EigenCluster, ...]
+    flat: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        expected = int(np.count_nonzero(_real_columns(self.clusters)))
+        if len(self.flat) != expected:
+            raise ValueError(
+                f"expected {expected} signs for the real eigenvectors, got {len(self.flat)}"
+            )
+        if any(s not in (-1, 1) for s in self.flat):
+            raise ValueError("signs must be +1 or -1")
+        object.__setattr__(self, "flat", tuple(1 if s == 1 else -1 for s in self.flat))
 
     @classmethod
     def uniform(cls, sys: BiorthonormalSystem) -> "SignAssignment":
         """Sign +1 on every real eigenvector."""
-        return cls(
-            tuple((i, (1,) * sys.clusters[i].multiplicity) for i in sys.real_cluster_indices())
-        )
+        return cls(sys.clusters, (1,) * int(np.count_nonzero(_real_columns(sys.clusters))))
 
     @classmethod
     def from_flat(cls, sys: BiorthonormalSystem, flat) -> "SignAssignment":
-        """Distribute flat signs, each exactly +1 or -1 (1.0 and -1.0 too),
-        over real clusters in cluster order."""
-        flat = list(flat)
-        real = sys.real_cluster_indices()
-        expected = sum(sys.clusters[i].multiplicity for i in real)
-        if len(flat) != expected:
-            raise ValueError(
-                f"expected {expected} signs for the real eigenvectors, got {len(flat)}"
-            )
-        if any(s not in (-1, 1) for s in flat):
-            raise ValueError("signs must be +1 or -1")
-        flat = [1 if s == 1 else -1 for s in flat]
-        per = []
-        pos = 0
-        for i in real:
-            mult = sys.clusters[i].multiplicity
-            per.append((i, tuple(flat[pos : pos + mult])))
-            pos += mult
-        return cls(tuple(per))
-
-    @cached_property
-    def _by_cluster(self) -> dict[int, tuple[int, ...]]:
-        # reversed, so that a repeated index keeps its first entry
-        return dict(reversed(self.per_cluster))
+        return cls(sys.clusters, tuple(flat))
 
     def signs_for(self, index: int) -> tuple[int, ...]:
-        try:
-            return self._by_cluster[index]
-        except KeyError:
-            raise KeyError(f"no signs recorded for cluster {index}") from None
+        """The signs of real cluster `index`; KeyError for any other index."""
+        real = [i for i, c in enumerate(self.clusters) if c.kind == KIND_REAL]
+        if index not in real:
+            raise KeyError(f"no signs recorded for cluster {index}")
+        start = sum(self.clusters[i].multiplicity for i in real if i < index)
+        return self.flat[start : start + self.clusters[index].multiplicity]
 
-    @property
-    def flat(self) -> tuple[int, ...]:
-        return tuple(s for _, signs in self.per_cluster for s in signs)
+
+def _real_columns(clusters: tuple[EigenCluster, ...]) -> np.ndarray:
+    """Mask of the columns that belong to real clusters."""
+    return np.repeat([c.kind == KIND_REAL for c in clusters], [c.multiplicity for c in clusters])
 
 
 def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -> None:
@@ -203,23 +196,6 @@ def _column_involution(sys: BiorthonormalSystem) -> np.ndarray:
     return np.arange(sys.dim) + np.repeat(shift, [c.multiplicity for c in sys.clusters])
 
 
-def _column_signs(sys: BiorthonormalSystem, signs: SignAssignment) -> np.ndarray:
-    """`signs` on real clusters and +1 on pair columns, one per column.
-    ValueError unless `signs` gives one +1/-1 per eigenvector of real
-    clusters only; KeyError (`signs_for`) for a real cluster without signs."""
-    real = sys.real_cluster_indices()
-    stray = sorted({i for i, _ in signs.per_cluster} - set(real))
-    if stray:
-        raise ValueError(f"signs recorded for clusters {stray}, which are not real")
-    column = np.ones(sys.dim)
-    for i in real:
-        c, given = sys.clusters[i], signs.signs_for(i)
-        if len(given) != c.multiplicity or any(g not in (-1, 1) for g in given):
-            raise ValueError(f"cluster {i} takes {c.multiplicity} signs +1/-1: {given}")
-        column[c.cols] = given
-    return column
-
-
 def _assemble(
     sys: BiorthonormalSystem,
     real_blocks: list[np.ndarray],
@@ -255,12 +231,17 @@ def canonical_eta(
     B is the signed involutive permutation (p, s), so B^-1 = B and
     eta = (phi[:, p] s) phi^H, eta^-1 = (psi[:, p] s) psi^H. All signs +1 on
     a Hermitian input give the identity. The 2^(number of real eigenvectors)
-    sign choices exhaust the canonical family.
+    sign choices exhaust the canonical family. ValueError unless `signs` were
+    drawn for clusters of the same kinds and multiplicities as sys's.
     """
     _pair_needs_system(sys)
     if signs is None:
         signs = SignAssignment.uniform(sys)
-    p, s = _column_involution(sys), _column_signs(sys, signs)
+    layout = [(c.kind, c.multiplicity) for c in sys.clusters]
+    if [(c.kind, c.multiplicity) for c in signs.clusters] != layout:
+        raise ValueError("signs were drawn for another cluster layout")
+    p, s = _column_involution(sys), np.ones(sys.dim)
+    s[_real_columns(sys.clusters)] = signs.flat
     return EtaOperator(
         matrix=(sys.phi[:, p] * s) @ sys.phi.conj().T,
         inverse=(sys.psi[:, p] * s) @ sys.psi.conj().T,

@@ -333,8 +333,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     Raises NonDiagonalizable when cond(psi) exceeds tol.cond_max or a
     degenerate cluster has too few independent eigenvectors. The inverse that
     gives phi also certifies cond(psi) <= cond_max (`certified_inverse`);
-    only when that bound cannot decide (or below its size cutoff) does an SVD
-    compute cond(psi). A
+    only when that bound cannot decide does an SVD compute cond(psi). A
     cluster of value lambda and multiplicity mu has enough eigenvectors when
     n - rank(H - lambda I) >= mu under a cutoff widened to the cluster's
     spread. That rank needs an n x n SVD, so each cluster first tries a

@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 
 from pseudoherm import spectral, susy
 from pseudoherm.errors import NonDiagonalizable
-from pseudoherm.intertwine import canonical_factorization, verify_intertwining
+from pseudoherm.intertwine import (
+    canonical_factorization,
+    self_factorization,
+    verify_intertwining,
+)
 from pseudoherm.linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -257,6 +261,18 @@ class TestCounts:
         # no n x n SVD of H+ or H-
         assert calls == [False, False, False, True]
         assert len(systems) == 1
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 31])
+    def test_small_self_factorization_takes_two_svds(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        h = matrix_with_spectrum(draw_spectrum(rng, n, allow_degenerate=False), rng)
+        calls = svd_counter(monkeypatch)
+        fact = self_factorization(decompose(h))
+        assert all(c.passed for c in fact.checks)
+        # ||H|| in decompose and the exact cond(psi) of the factorization
+        # threshold; the inverse that gives phi certifies cond(psi) <=
+        # cond_max without one
+        assert calls == [False, False]
 
     def test_witten_flags_match_kernel_basis_on_benchmark_pairs(self, bench_inputs):
         for workload in ("pair_simple", "pair_degenerate"):

@@ -191,6 +191,28 @@ class TestEtaCommand:
         code = main(["eta", osc_file, "--signs", "1"])
         assert code == 2
 
+    def test_empty_signs_for_a_spectrum_with_no_real_eigenvector(self, capsys, tmp_path):
+        # +-i: zero signs are expected, and an empty value spells them
+        f = write_matrix(tmp_path / "paired.json", [[0.0, 1.0], [-1.0, 0.0]])
+        code, out = run(capsys, "eta", f, "--signs=")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["signs"] == []
+        assert report["checks"][0]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--signs=", "expected 2 signs for the real eigenvectors, got 0"),
+            ("--signs=1,,-1", "--signs must be comma-separated integers"),
+        ],
+    )
+    def test_empty_signs_on_real_eigenvalues_exit_two(self, capsys, spin_file, flag, message):
+        assert main(["eta", spin_file, flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_unpairable_exits_one(self, capsys, tmp_path):
         f = write_matrix(tmp_path / "u.json", np.diag([1.0, 2 + 3j]))
         code, out = run(capsys, "eta", f)

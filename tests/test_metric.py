@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudoherm.errors import InvalidEta, NotPseudoHermitian, RealSpectrumRequired
 from pseudoherm.linalg import frobenius_norm, singular_values, spectral_norm
@@ -15,7 +17,7 @@ from pseudoherm.metric import (
     pseudo_adjoint,
     verify_pseudo_hermiticity,
 )
-from pseudoherm.spectral import decompose
+from pseudoherm.spectral import KIND_UPPER, decompose
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 
 from antilinear_reference import antilinear_symmetry as dense_antilinear_symmetry
@@ -114,24 +116,31 @@ class TestCanonicalEta:
         # one sign for the doubly degenerate cluster at 1 would leave a zero
         # column in eta
         sys = decompose(np.diag([1.0, 1.0, 3.0]))
-        with pytest.raises(ValueError, match=r"cluster 0 takes 2 signs \+1/-1: \(1,\)"):
-            canonical_eta(sys, SignAssignment(((0, (1,)), (1, (1,)))))
+        with pytest.raises(ValueError, match="expected 3 signs for the real eigenvectors, got 2"):
+            canonical_eta(sys, SignAssignment(sys.clusters, (1, 1)))
 
     def test_rejects_a_sign_other_than_plus_or_minus_one(self):
         sys = decompose(np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError, match=r"cluster 1 takes 1 signs \+1/-1: \(2,\)"):
-            canonical_eta(sys, SignAssignment(((0, (1,)), (1, (2,)), (2, (1,)))))
+        with pytest.raises(ValueError, match=r"signs must be \+1 or -1"):
+            canonical_eta(sys, SignAssignment(sys.clusters, (1, 2, 1)))
 
     def test_rejects_signs_on_a_cluster_that_is_not_real(self):
-        # clusters 0 and 1 are the pair +-i, cluster 2 the real eigenvalue
+        # clusters 0 and 1 are the pair +-i, cluster 2 the real eigenvalue;
+        # signs drawn for three real clusters put signs on the pair
         sys = decompose(np.diag([1j, -1j, 2.0]))
-        with pytest.raises(ValueError, match=r"clusters \[0, 5\]"):
-            canonical_eta(sys, SignAssignment(((0, (1,)), (2, (1,)), (5, (1,)))))
+        signs = SignAssignment.uniform(decompose(np.diag([1.0, 2.0, 3.0])))
+        with pytest.raises(ValueError, match="another cluster layout"):
+            canonical_eta(sys, signs)
 
     def test_missing_real_cluster_raises_key_error(self):
+        # signs drawn for diag(1) know no cluster 1, and canonical_eta
+        # refuses them for the two real clusters of diag(1, 2)
         sys = decompose(np.diag([1.0, 2.0]))
+        short = SignAssignment.from_flat(decompose(np.diag([1.0])), [1])
         with pytest.raises(KeyError, match="cluster 1"):
-            canonical_eta(sys, SignAssignment(((0, (1,)),)))
+            short.signs_for(1)
+        with pytest.raises(ValueError, match="another cluster layout"):
+            canonical_eta(sys, short)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_systems_all_sign_choices_verify(self, seed):
@@ -169,6 +178,47 @@ class TestSignAssignment:
             SignAssignment.from_flat(sys, [1.5, -1.7])
         flat = SignAssignment.from_flat(sys, [1.0, -1.0]).flat
         assert flat == (1, -1) and all(type(s) is int for s in flat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        reals=st.lists(st.integers(1, 3), max_size=3),
+        pairs=st.lists(st.integers(1, 3), max_size=2),
+        other=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_signs_follow_the_columns(self, reals, pairs, other, seed):
+        # real clusters at -1.5, -0.5, 0.5 and pairs at +-i, 1 +- i, with the
+        # multiplicities drawn; `other` lays out real clusters only
+        assume(reals or pairs)
+        rng = np.random.default_rng(seed)
+        values = [k - 1.5 for k, m in enumerate(reals) for _ in range(m)]
+        for k, m in enumerate(pairs):
+            values += [complex(k, 1.0)] * m + [complex(k, -1.0)] * m
+        sys = decompose(matrix_with_spectrum(values, rng))
+        flat = tuple(int(s) for s in rng.choice([-1, 1], size=sum(reals)))
+        signs = SignAssignment.from_flat(sys, flat)
+        assert signs.flat == flat
+        start = 0
+        for i in sys.real_cluster_indices():
+            stop = start + sys.clusters[i].multiplicity
+            assert signs.signs_for(i) == flat[start:stop]
+            start = stop
+
+        # Sylvester's law: eta = phi B phi^H has the inertia of B, one -1 per
+        # negative sign and one per PairUpper column
+        eta = canonical_eta(sys, signs).matrix
+        w = np.linalg.eigvalsh((eta + eta.conj().T) / 2)
+        upper = sum(c.multiplicity for c in sys.clusters if c.kind == KIND_UPPER)
+        assert upper == sum(pairs)
+        assert int(np.sum(w < 0)) == flat.count(-1) + upper
+
+        diag = [float(k) for k, m in enumerate(other) for _ in range(m)]
+        foreign = SignAssignment.uniform(decompose(np.diag(diag)))
+        if pairs or other != reals:
+            with pytest.raises(ValueError, match="another cluster layout"):
+                canonical_eta(sys, foreign)
+        else:
+            canonical_eta(sys, foreign)
 
 
 class TestEtaFromM:
@@ -498,10 +548,3 @@ class TestBlockAssembly:
         matrix, inverse = dense_metric(sys_, real, pairs)
         assert frobenius_norm(eta.matrix - matrix) <= 1e-12 * frobenius_norm(matrix)
         assert frobenius_norm(eta.inverse - inverse) <= 1e-12 * frobenius_norm(inverse)
-
-    def test_signs_for_keeps_the_first_entry_of_a_repeated_cluster(self):
-        signs = SignAssignment(((0, (1,)), (2, (-1, 1)), (0, (-1,))))
-        assert signs.signs_for(0) == (1,)
-        assert signs.signs_for(2) == (-1, 1)
-        with pytest.raises(KeyError, match="cluster 1"):
-            signs.signs_for(1)
