@@ -16,7 +16,10 @@ bounds the smallest singular value from below, ||eta||_F bounds ||eta||_2
 from above), and the exact SVD (`cond`, `spectral_norm`) runs only when the
 certificate cannot decide, so every outcome is the one the SVD gives. Every
 rank and kernel decision shares one cutoff (`rank`, `singular_system`,
-`kernel_basis`).
+`kernel_basis`). For a square matrix of known singular values and rank,
+`kernels_from_solves` finds bases of both kernels from two LU solves with a
+bound on their angle to the SVD's, so that a caller can certify what it reads
+from them and take the full SVD only when it cannot.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "rank",
     "singular_system",
     "kernel_basis",
+    "kernels_from_solves",
 ]
 
 
@@ -314,3 +318,50 @@ def kernel_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
     """
     _, _, vh, r = singular_system(m, tol)
     return vh[r:].conj().T
+
+
+def _orthonormal(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of m, which has full column rank."""
+    return np.linalg.qr(m)[0] if m.shape[1] else m
+
+
+def kernels_from_solves(
+    d: np.ndarray, s: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Orthonormal bases W of ker d and W# of ker d^H for a square d with
+    descending singular values `s` and numerical rank r, 0 < r < n, and a
+    bound theta on the sine of the largest angle between each basis and the
+    span of the n - r trailing singular vectors on its side; None when a solve
+    meets an exact zero pivot or leaves the finite range.
+
+    One step of inverse iteration from a fixed n x (n - r) start block Y:
+    X = d^-1 Y and conj(Z) = d^-T Y, so Z = d^-H conj(Y) is solved through
+    d.T with no conjugate copy of d; QR makes W from X and W# from Z. With V_r
+    the leading r right singular vectors, ||d W||_2 >= sigma_r ||V_r^H W||_2
+    (Wedin's bound), and the same holds for d^H W# and the left ones. The
+    computed d W is within gamma ||d||_F ||W||_F of the exact product, with
+    gamma = 2 (n + 2) eps as in `_residual_bound` and ||W||_F = sqrt(n - r),
+    and sigma_r is at least s[r-1] - n eps s[0], so
+    theta = (max(||d W||_F, ||W#^H d||_F) + gamma ||d||_F sqrt(n - r))
+    / (s[r-1] - n eps s[0]), or inf when that denominator is not positive.
+    QR's loss of orthogonality is of the order of n eps, which the gamma
+    term covers.
+    """
+    n = d.shape[0]
+    k = n - r
+    y = np.random.default_rng(0).standard_normal((n, k))
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(d, y)
+            z = np.linalg.solve(d.T, y).conj()
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            return None
+        w, w_sharp = _orthonormal(x), _orthonormal(z)
+        residual = max(frobenius_norm(d @ w), frobenius_norm(w_sharp.conj().T @ d))
+        gamma = 2.0 * (n + 2) * _EPS
+        lower = float(s[r - 1]) - n * _EPS * float(s[0])
+        rounding = gamma * frobenius_norm(d) * math.sqrt(k)
+        theta = (residual + rounding) / lower if lower > 0.0 else math.inf
+    return w, w_sharp, theta

@@ -14,9 +14,12 @@ them is checked. What can fail is reported: the extended algebra of
 caller-supplied generators, and the Witten index, which counts zero modes of
 the partners, with the kernel complex it is read from and whether it equals
 the analytic index of D (expected when no kernel vector is metric-null).
-Every zero-mode count comes from one SVD of D, or from its singular values
-alone when D is square and invertible; no n x n factorization of H+ or H-
-is made.
+Every zero-mode count comes from D's rank and the metric-null directions
+of ker D and ker D#; no n x n factorization of H+ or H- is made. A square D
+takes its singular values once, which decide its rank; when it is singular,
+two LU solves give both kernels with a certificate that they yield the
+SVD's counts and flags. Only a rectangular D, or a kernel the certificate
+cannot decide, takes a full SVD of D.
 """
 
 from __future__ import annotations
@@ -31,16 +34,20 @@ import numpy as np
 from .errors import NumericalFailure
 from .intertwine import Factorization
 from .linalg import (
+    _EPS,
     _EXACT_BELOW,
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _orthonormal,
+    _rank_of,
     _store_read_only,
     as_matrix,
     frobenius_norm,
+    kernels_from_solves,
     norm_lower_bound,
-    rank,
     singular_system,
+    singular_values,
     spectral_norm,
 )
 from .metric import EtaOperator, pseudo_adjoint
@@ -136,9 +143,12 @@ class WittenReport:
     `delta_equals_analytic_d` is the index theorem, which holds whenever
     `non_null_kernels` does.
 
-    `checks`: `kernel_complex` (the kernel maps composed both ways) against
-    max(atol, rtol max(n+, n-) (1 + ||D|| + ||D#||)), with `norm_lower_bound`
-    scales.
+    Every count and flag is the one D's SVD gives, whether `witten_index`
+    read the kernels from two certified LU solves (a square, singular D) or
+    from that SVD. `checks`: `kernel_complex` (the kernel maps composed both
+    ways) against max(atol, rtol max(n+, n-) (1 + ||D|| + ||D#||)), with
+    `norm_lower_bound` scales; its value is rounding in the kernel
+    coordinates, so its digits depend on which way they were found.
     """
 
     d0_plus: int
@@ -261,6 +271,13 @@ def verify_algebra(
     return tuple(checks)
 
 
+def _restricted_form(basis: np.ndarray, eta: EtaOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian part of
+    basis^H eta basis."""
+    restricted = basis.conj().T @ eta.matrix @ basis
+    return np.linalg.eigh(0.5 * (restricted + restricted.conj().T))
+
+
 def _null_modes(basis: np.ndarray, eta: EtaOperator, tol: Tolerance) -> np.ndarray:
     """Coordinates of the metric-null directions of span(basis), one column
     each; `basis` has orthonormal columns.
@@ -274,11 +291,9 @@ def _null_modes(basis: np.ndarray, eta: EtaOperator, tol: Tolerance) -> np.ndarr
     """
     if basis.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    restricted = basis.conj().T @ eta.matrix @ basis
-    values, vectors = np.linalg.eigh(0.5 * (restricted + restricted.conj().T))
+    values, vectors = _restricted_form(basis, eta)
     size = np.abs(values)
-    rounding = eta.dim**2 * np.finfo(float).eps
-    null = size <= tol.atol * frobenius_norm(eta.matrix) * (1.0 + rounding)
+    null = size <= tol.atol * frobenius_norm(eta.matrix) * (1.0 + eta.dim**2 * _EPS)
     if null.any():
         null = size <= tol.atol * eta.norm
     return vectors[:, null]
@@ -290,13 +305,64 @@ def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
     return _null_modes(kernel, eta, tol).shape[1] == 0
 
 
-def _orthonormal(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of m, which has full column rank."""
-    return np.linalg.qr(m)[0] if m.shape[1] else m
+# Largest angle bound at which `_solved_kernels` uses a basis: up to it,
+# orthonormal bases of two subspaces at angle sine theta can be aligned to
+# within theta + theta^3, so an eigenvalue of eta's restricted form moves by
+# at most (2 theta + 2 theta^2) ||eta||_2 between them.
+_ANGLE_MAX = 0.25
 
 
-def _kernels(psys: PseudoSusySystem, tol: Tolerance) -> tuple[int, np.ndarray, np.ndarray]:
-    """rank(D) and orthonormal bases of ker H+ and ker H-, from one SVD of D.
+def _solved_kernels(
+    psys: PseudoSusySystem, tol: Tolerance, s: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal bases of ker D and ker D# for a square D of singular values
+    `s` and rank 0 < r < n, from `kernels_from_solves`, when they provably
+    give the counts and flags of the SVD's bases; None when they may not.
+
+    W spans ker D to within the angle bound theta. W# does so for ker D^H,
+    and K# = orth(eta-^-1 W#) then spans ker D# to within
+    theta ||eta-||_F ||eta-^-1||_F: an invertible map widens the sine of an
+    angle between subspaces by at most its condition number. Both angles must
+    be at most `_ANGLE_MAX`, and every eigenvalue of eta+ on W and of eta- on
+    K# must clear `_null_modes`' cutoff atol ||eta||_F (1 + n^2 eps) by
+    (2 theta + 2 theta^2) ||eta||_F with that basis's angle. Then no direction
+    of either kernel is metric-null, as for the SVD's bases, so the kernels of
+    H+ and H- are ker D and ker D#, and every count and flag is the SVD's.
+    A null or undecided direction returns None: its preimage under D needs
+    the SVD's U_r S_r V_r^H.
+    """
+    found = kernels_from_solves(psys.d, s, r)
+    if found is None:
+        return None
+    w, w_sharp, theta = found
+    eta_minus = psys.eta_minus
+    k_sharp = _orthonormal(eta_minus.inverse @ w_sharp)
+    widened = theta * frobenius_norm(eta_minus.matrix) * frobenius_norm(eta_minus.inverse)
+    for basis, eta, angle in ((w, psys.eta_plus, theta), (k_sharp, eta_minus, widened)):
+        if not angle <= _ANGLE_MAX:
+            return None
+        clear = tol.atol * (1.0 + eta.dim**2 * _EPS) + 2.0 * angle * (1.0 + angle)
+        values, _ = _restricted_form(basis, eta)
+        if np.min(np.abs(values)) <= clear * frobenius_norm(eta.matrix):
+            return None
+    return w, k_sharp
+
+
+def _kernels(
+    psys: PseudoSusySystem,
+    tol: Tolerance,
+    s: np.ndarray | None = None,
+    r: int | None = None,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """rank(D) and orthonormal bases of ker H+ and ker H-.
+
+    For a square D the caller passes D's singular values `s` and its rank r
+    under `rank`'s cutoff, and when 0 < r the bases come from
+    `_solved_kernels` if it can certify them. One full SVD of D is taken
+    otherwise: for a rectangular D, r = 0, a solve with an exact zero pivot
+    or a result that is not finite, an angle bound above `_ANGLE_MAX`, an
+    eigenvalue of a restricted form within the certificate's margin, and any
+    metric-null direction. A square D keeps the caller's r there.
 
     With D = U S V^H of numerical rank r, V_perp = V[:, r:] spans ker D and
     K# = orth(eta_minus^-1 U[:, r:]) spans ker D# = eta_minus^-1 ker D^H.
@@ -309,7 +375,12 @@ def _kernels(psys: PseudoSusySystem, tol: Tolerance) -> tuple[int, np.ndarray, n
     eta_minus^-1 U_r S_r^-1 V_r^H eta_plus x. Without null directions the
     kernels are V_perp and K#, and no basis is widened.
     """
-    u, s, vh, r = singular_system(psys.d, tol)
+    if s is not None and r > 0:
+        bases = _solved_kernels(psys, tol, s, r)
+        if bases is not None:
+            return (r, *bases)
+    u, s, vh, svd_rank = singular_system(psys.d, tol)
+    r = svd_rank if r is None else r
     eta_plus, eta_minus = psys.eta_plus, psys.eta_minus
     v_perp = vh[r:].conj().T
     k_sharp = _orthonormal(eta_minus.inverse @ u[:, r:])
@@ -333,10 +404,14 @@ def witten_index(
 ) -> WittenReport:
     """Count zero modes of the partners and evaluate the index identities.
 
-    Every count comes from one SVD of D, of numerical rank r under `rank`'s
-    cutoff (`_kernels`). ker D lies in ker H+ and ker D# in ker H-, so
-    ker D0 = ker D and ker D0# = ker D# for the restrictions D0, D0# of D and
-    D# to the kernels of H+ and H-. D0 has rank z- = dim ker H+ - (n+ - r),
+    r is the numerical rank of D under `rank`'s cutoff. A square D takes its
+    singular values once: they give r, and when 0 < r < n two LU solves give
+    certified bases of ker D and ker D# (`_solved_kernels`); a rectangular D,
+    or a kernel the certificate cannot decide, takes one full SVD of D
+    (`_kernels`), so every count and flag is the one that SVD gives.
+    ker D lies in ker H+ and ker D# in ker H-, so ker D0 = ker D and
+    ker D0# = ker D# for the restrictions D0, D0# of D and D# to the kernels
+    of H+ and H-. D0 has rank z- = dim ker H+ - (n+ - r),
     the number of metric-null directions of ker D#, and D0# has rank z+, that
     of ker D; the Betti numbers of the complex are n+ - r - z+ and
     n- - r - z-, never negative. When r = n+ = n-, D is invertible, every
@@ -346,11 +421,14 @@ def witten_index(
     how far from zero they come in the computed kernel coordinates.
     """
     d, n_plus, n_minus = psys.d, psys.dim_plus, psys.dim_minus
-    if n_plus == n_minus and rank(d, tol) == n_plus:
-        rank_d = n_plus
+    s = rank_d = None
+    if n_plus == n_minus:
+        s = singular_values(d)
+        rank_d = _rank_of(s, d.shape, tol)
+    if rank_d == n_plus:
         k_plus = k_minus = np.zeros((n_plus, 0), dtype=complex)
     else:
-        rank_d, k_plus, k_minus = _kernels(psys, tol)
+        rank_d, k_plus, k_minus = _kernels(psys, tol, s, rank_d)
     d0_plus = k_plus.shape[1]
     d0_minus = k_minus.shape[1]
     ker_d = n_plus - rank_d

@@ -1,9 +1,11 @@
 """Shared builders for randomized tests: controlled spectra, conditioned
-similarity transforms, and engineered-rank maps."""
+similarity transforms, engineered-rank maps and random metrics."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from pseudoherm.metric import EtaOperator
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -11,6 +13,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_metric(n: int, definite: bool, rng: np.random.Generator) -> EtaOperator:
+    """Random metric with eigenvalue moduli in [0.5, 2], all positive when
+    `definite` and of random signs otherwise."""
+    signs = np.ones(n) if definite else rng.choice([-1.0, 1.0], size=n)
+    u = random_unitary(n, rng)
+    return EtaOperator.from_matrix((u * (signs * rng.uniform(0.5, 2.0, size=n))) @ u.conj().T)
 
 
 def well_conditioned(n: int, rng: np.random.Generator, spread: float = 2.0) -> np.ndarray:

@@ -2,8 +2,9 @@
 cond_max and a non-null metric restriction are each first decided from
 matrices already held, and every decision must equal the one the exact SVD
 rule makes. `certified_inverse` is also checked under a rank cutoff, where it
-must never pass a matrix with a kernel. The Witten counts take no
-certificate: they come from D's singular values, or one SVD of D.
+must never pass a matrix with a kernel. The Witten counts of a square D take
+its rank from its singular values and its kernels from two LU solves, whose
+certificate must give the counts and flags of D's SVD, or defer to it.
 """
 
 import re
@@ -28,12 +29,23 @@ from pseudoherm.linalg import (
     cond,
     frobenius_norm,
     kernel_basis,
+    kernels_from_solves,
+    rank,
+    singular_values,
 )
 from pseudoherm.metric import EtaOperator, verify_pseudo_hermiticity
 from pseudoherm.spectral import _cond_checked_inverse, decompose
-from pseudoherm.susy import _non_null, from_factorization, verify_algebra, witten_index
+from pseudoherm.susy import (
+    _ANGLE_MAX,
+    _non_null,
+    _solved_kernels,
+    assemble,
+    from_factorization,
+    verify_algebra,
+    witten_index,
+)
 
-from support import draw_spectrum, matrix_with_spectrum, random_unitary
+from support import draw_spectrum, matrix_with_spectrum, random_metric, random_unitary
 
 def with_singular_values(s, rng):
     n = len(s)
@@ -247,7 +259,7 @@ class TestCounts:
         assert calls == [False, False, False]  # two ||H||, one of D's singular values
         assert systems == []
 
-    def test_pair_with_a_zero_cluster_takes_one_svd_of_d(self, monkeypatch):
+    def test_pair_with_a_zero_cluster_takes_no_svd_with_vectors(self, monkeypatch):
         rng = np.random.default_rng(5)
         values = [0.0] + draw_spectrum(rng, 39, allow_degenerate=False)
         h1 = matrix_with_spectrum(values, rng)
@@ -257,10 +269,10 @@ class TestCounts:
         wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.ker_d, wit.ker_d_dagger) == (1, 1, 1, 1)
         assert (wit.betti_plus, wit.betti_minus) == (1, 1)
-        # two ||H||, D's singular values, then one SVD of D with vectors;
-        # no n x n SVD of H+ or H-
-        assert calls == [False, False, False, True]
-        assert len(systems) == 1
+        # two ||H|| and D's singular values; the kernels of D and D^H come
+        # from two LU solves, so no SVD with vectors and no n x n SVD of H+-
+        assert calls == [False, False, False]
+        assert systems == []
 
     @pytest.mark.parametrize("n", [2, 7, 16, 31])
     def test_small_self_factorization_takes_two_svds(self, n, monkeypatch):
@@ -282,3 +294,120 @@ class TestCounts:
             wit = witten_index(psys)
             assert wit.d0_plus == kernel_basis(psys.h_plus).shape[1]
             assert wit.d0_minus == kernel_basis(psys.h_minus).shape[1]
+
+
+def sine_to(span: np.ndarray, basis: np.ndarray) -> float:
+    """Sine of the largest angle from span(basis) to span(span); both
+    orthonormal."""
+    return float(np.linalg.norm(basis - span @ (span.conj().T @ basis), 2))
+
+
+def square_system(sigma, definite, rng):
+    n = len(sigma)
+    d = with_singular_values(sigma, rng)
+    return assemble(d, random_metric(n, definite, rng), random_metric(n, definite, rng))
+
+
+def svd_outcomes(psys, tol=DEFAULT_TOLERANCE):
+    """d0+-, ker_d and the two flags from the bases of D's full SVD."""
+    r, k_plus, k_minus = susy._kernels(psys, tol)
+    return (
+        k_plus.shape[1],
+        k_minus.shape[1],
+        psys.dim_plus - r,
+        _non_null(k_plus, psys.eta_plus, tol),
+        _non_null(k_minus, psys.eta_minus, tol),
+    )
+
+
+def witten_outcomes(wit):
+    return (wit.d0_plus, wit.d0_minus, wit.ker_d, wit.non_null_plus, wit.non_null_minus)
+
+
+class TestKernelCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        zeros=st.integers(0, 24),
+        definite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solved_kernels_give_the_svd_outcomes(self, n, zeros, definite, seed):
+        # sigma log-uniform on [1e-14, 1] with planted exact zeros, so
+        # singular values fall on both sides of rank's cutoff
+        rng = np.random.default_rng(seed)
+        sigma = 10.0 ** rng.uniform(-14.0, 0.0, size=n)
+        sigma[: min(zeros, n)] = 0.0
+        psys = square_system(sigma, definite, rng)
+        wit = witten_index(psys)
+        expected = svd_outcomes(psys)
+        assert witten_outcomes(wit) == expected
+        assert wit.delta_equals_analytic_d == (expected[0] == expected[1])
+
+        d = psys.d
+        s = singular_values(d)
+        r = rank(d)
+        if not 0 < r < n:
+            return
+        found = kernels_from_solves(d, s, r)
+        if found is None:
+            return
+        w, w_sharp, theta = found
+        # the SVD's own subspaces are within n eps s_max / gap of the exact ones
+        u, s_full, vh = np.linalg.svd(d)
+        gap = s_full[r - 1] - s_full[r]
+        svd_error = n * np.finfo(float).eps * s_full[0] / gap if gap > 0 else np.inf
+        assert sine_to(vh[r:].conj().T, w) <= theta + svd_error
+        assert sine_to(u[:, r:], w_sharp) <= theta + svd_error
+        eta_m = psys.eta_minus
+        widening = frobenius_norm(eta_m.matrix) * frobenius_norm(eta_m.inverse)
+        k_sharp = np.linalg.qr(eta_m.inverse @ w_sharp)[0]
+        svd_sharp = np.linalg.qr(eta_m.inverse @ u[:, r:])[0]
+        assert sine_to(svd_sharp, k_sharp) <= widening * (theta + svd_error)
+
+    def test_an_exact_zero_pivot_reaches_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        psys = square_system(rng.uniform(0.5, 2.0, size=6), True, rng)
+        d = psys.d.copy()
+        d[:, 2] = 0.0  # partial pivoting meets an exact zero in column 2
+        psys = assemble(d, psys.eta_plus, psys.eta_minus)
+        assert kernels_from_solves(psys.d, singular_values(psys.d), 5) is None
+        systems = spy(monkeypatch, susy, "singular_system")
+        wit = witten_index(psys)
+        assert len(systems) == 1
+        assert witten_outcomes(wit) == svd_outcomes(psys) == (1, 1, 1, True, True)
+
+    def test_zero_map_reaches_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        psys = square_system(np.zeros(4), False, rng)
+        systems = spy(monkeypatch, susy, "singular_system")
+        wit = witten_index(psys)
+        assert len(systems) == 1
+        assert witten_outcomes(wit) == svd_outcomes(psys)
+        assert (wit.d0_plus, wit.d0_minus) == (4, 4)
+
+    @pytest.mark.parametrize("margins, solved", [(0.5, False), (2.0, True)])
+    def test_an_eigenvalue_inside_the_margin_reaches_the_svd(self, margins, solved, monkeypatch):
+        # eta+ = V M V^H is indefinite and well conditioned, and its form on
+        # the kernel vector v of D is lam, `margins` certificate margins above
+        # the null cutoff atol ||eta+||_F: inside the margin only the SVD
+        # decides, outside it the solves do
+        n, tol = 6, DEFAULT_TOLERANCE
+        rng = np.random.default_rng(2)
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        d = (u * np.array([1.0, 0.5, 0.3, 0.1, 1e-4, 0.0])) @ v.conj().T
+        _, _, theta = kernels_from_solves(d, singular_values(d), n - 1)
+        assert theta <= _ANGLE_MAX
+        m = np.diag(np.append(rng.uniform(0.5, 2.0, size=n - 2), [0.0, 0.0]))
+        m[-1, -2] = m[-2, -1] = 1.0
+        # lam = c ||eta+||_F with ||eta+||_F^2 = lam^2 + ||m||_F^2
+        c = tol.atol * (1.0 + n**2 * np.finfo(float).eps) + margins * 2.0 * theta * (1.0 + theta)
+        m[-1, -1] = c * np.linalg.norm(m) / np.sqrt(1.0 - c**2)
+        eta_p = EtaOperator.from_matrix(v @ m @ v.conj().T)
+        psys = assemble(d, eta_p, random_metric(n, True, rng))
+        bases = _solved_kernels(psys, tol, singular_values(psys.d), n - 1)
+        assert (bases is not None) == solved
+        systems = spy(monkeypatch, susy, "singular_system")
+        wit = witten_index(psys)
+        assert len(systems) == (0 if solved else 1)
+        assert witten_outcomes(wit) == svd_outcomes(psys) == (1, 1, 1, True, True)

@@ -118,12 +118,23 @@ def reference(h1, h2, sys1, sys2, fact, psys, generators, value, pair, scale):
             0.5 * sector(pij + sign * pji, mij + sign * mji),
             tol.rtol * combo[i] * combo[j] * hscale,
         ))
-    # kernel coordinates from D's SVD: ker H+ = ker D and ker H- = ker D#
-    # (the pair pipeline's zero modes are not metric-null), empty when D is
-    # square and of full rank
-    u, s, vh = np.linalg.svd(d)
+    # kernel coordinates as the library finds them for a square D: ker H+ =
+    # ker D and ker H- = ker D# (the pair pipeline's zero modes are not
+    # metric-null), from LU solves on the fixed start block and QR, or from
+    # D's SVD when D is zero or a solve meets an exact zero pivot; empty when
+    # D is of full rank
+    n = d.shape[0]
+    s = np.linalg.svd(d, compute_uv=False)
     r = int(np.count_nonzero(s > tol.svd_cutoff(d.shape, float(s[0]))))
-    kp, w = vh[r:].conj().T, u[:, r:]
+    kp = w = np.zeros((n, 0))
+    if r < n:
+        y = np.random.default_rng(0).standard_normal((n, n - r))
+        try:
+            kp = np.linalg.qr(np.linalg.solve(d, y))[0]
+            w = np.linalg.qr(np.linalg.solve(d.T, y).conj())[0]
+        except np.linalg.LinAlgError:  # an exact zero pivot; D = 0 has one
+            u, _, vh = np.linalg.svd(d)
+            kp, w = vh[r:].conj().T, u[:, r:]
     km = np.linalg.qr(fact.eta2.inverse @ w)[0] if w.shape[1] else w
     d0 = km.conj().T @ d @ kp
     d0f = kp.conj().T @ ds @ km

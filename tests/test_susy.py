@@ -35,6 +35,7 @@ from support import (
     match_value_multisets,
     matrix_with_spectrum,
     positive_definite,
+    random_metric,
     random_unitary,
     well_conditioned,
 )
@@ -379,12 +380,6 @@ def null_count(basis, eta, tol=DEFAULT_TOLERANCE):
     return int(np.count_nonzero(np.abs(values) <= tol.atol * np.linalg.norm(eta, 2)))
 
 
-def random_metric(n, definite, rng):
-    signs = np.ones(n) if definite else rng.choice([-1.0, 1.0], size=n)
-    u = random_unitary(n, rng)
-    return EtaOperator.from_matrix((u * (signs * rng.uniform(0.5, 2.0, size=n))) @ u.conj().T)
-
-
 class TestWittenCounts:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -431,6 +426,36 @@ class TestWittenCounts:
             assert (wit.d0_plus, wit.d0_minus) == (wit.ker_d, wit.ker_d_dagger)
 
 
+def metric_null_system(null):
+    """A graded system whose zero modes are metric-null in the minus sector,
+    the plus sector or both.
+
+    The anti-diagonal metric on C^3 is null on e3 and on e1. With D = e3
+    (3 x 1) and eta- anti-diagonal, D e1 = e3 spans ker D# & range D
+    (z- = 1), so ker H+ is the preimage of e3, outside ker D = 0. The
+    transposed system puts the null mode in ker D & range D# (z+ = 1) and
+    widens ker H- instead; "both" is their direct sum, a square D of rank 2.
+    Random unitary frames hide the structure from the SVD.
+    """
+    anti = np.fliplr(np.eye(3))
+    e3 = np.array([[0.0], [0.0], [1.0]])
+    blocks = {
+        "minus": (e3, np.eye(1), anti),
+        "plus": (e3.T, anti, np.eye(1)),
+    }
+    if null == "both":
+        d, eta_p, eta_m = map(direct_sum, blocks["minus"], blocks["plus"])
+    else:
+        d, eta_p, eta_m = blocks[null]
+    rng = np.random.default_rng(7)
+    up, um = random_unitary(d.shape[1], rng), random_unitary(d.shape[0], rng)
+    return assemble(
+        um @ d @ up.conj().T,
+        EtaOperator.from_matrix(up @ eta_p @ up.conj().T),
+        EtaOperator.from_matrix(um @ eta_m @ um.conj().T),
+    )
+
+
 class TestWittenIndex:
     def test_diagonal_example(self):
         psys = assemble(
@@ -454,29 +479,7 @@ class TestWittenIndex:
 
     @pytest.mark.parametrize("null", ["minus", "plus", "both"])
     def test_metric_null_zero_modes_widen_the_kernels(self, null):
-        # the anti-diagonal metric on C^3 is null on e3 and on e1. With
-        # D = e3 (3 x 1) and eta- anti-diagonal, D e1 = e3 spans ker D# & range D
-        # (z- = 1), so ker H+ is the preimage of e3, outside ker D = 0. The
-        # transposed system puts the null mode in ker D & range D# (z+ = 1)
-        # and widens ker H- instead; "both" is their direct sum. Random
-        # unitary frames hide the structure from the SVD.
-        anti = np.fliplr(np.eye(3))
-        e3 = np.array([[0.0], [0.0], [1.0]])
-        blocks = {
-            "minus": (e3, np.eye(1), anti),
-            "plus": (e3.T, anti, np.eye(1)),
-        }
-        if null == "both":
-            d, eta_p, eta_m = map(direct_sum, blocks["minus"], blocks["plus"])
-        else:
-            d, eta_p, eta_m = blocks[null]
-        rng = np.random.default_rng(7)
-        up, um = random_unitary(d.shape[1], rng), random_unitary(d.shape[0], rng)
-        psys = assemble(
-            um @ d @ up.conj().T,
-            EtaOperator.from_matrix(up @ eta_p @ up.conj().T),
-            EtaOperator.from_matrix(um @ eta_m @ um.conj().T),
-        )
+        psys = metric_null_system(null)
         wit = witten_index(psys)
         z_plus, z_minus = int(null != "minus"), int(null != "plus")
         rank_d = 2 if null == "both" else 1
@@ -491,6 +494,20 @@ class TestWittenIndex:
             assert k.shape[1] == kernel_basis(h).shape[1]
             assert frobenius_norm(k.conj().T @ k - np.eye(k.shape[1])) <= 1e-14
             assert frobenius_norm(h @ k) <= 1e-14
+
+    @pytest.mark.parametrize("null", ["minus", "plus", "both"])
+    def test_metric_null_zero_modes_reach_the_svd(self, null, monkeypatch):
+        # a null mode's preimage under D needs the SVD's U_r S_r V_r^H, so the
+        # square "both" system falls back from the LU solves as well
+        psys = metric_null_system(null)
+        calls = []
+        original = susy.singular_system
+        monkeypatch.setattr(
+            susy, "singular_system", lambda *args: calls.append(args) or original(*args)
+        )
+        wit = witten_index(psys)
+        assert len(calls) == 1
+        assert (wit.non_null_plus, wit.non_null_minus) == (null == "minus", null == "plus")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identities_on_random_systems(self, seed):
@@ -631,3 +648,21 @@ def test_graded_system_keeps_no_partner_arrays():
     wit, peak = _traced_peak(lambda: witten_index(psys))
     assert (wit.d0_plus, wit.d0_minus) == (0, 0)
     assert peak < matrix_bytes / 4
+
+
+def test_witten_index_of_a_singular_square_d_takes_no_full_svd():
+    # a square D of rank n - 3 gets its kernels from two LU solves on n x 3
+    # blocks; a full SVD would allocate its n x n U and V^H
+    n = 128
+    rng = np.random.default_rng(13)
+    sigma = np.append(rng.uniform(0.5, 2.0, size=n - 3), np.zeros(3))
+    u, v = random_unitary(n, rng), random_unitary(n, rng)
+    psys = assemble(
+        (u * sigma) @ v.conj().T,
+        EtaOperator.from_matrix(positive_definite(n, rng)),
+        EtaOperator.from_matrix(positive_definite(n, rng)),
+    )
+    witten_index(psys)  # first call: caches and lazy imports
+    wit, peak = _traced_peak(lambda: witten_index(psys))
+    assert (wit.d0_plus, wit.d0_minus) == (3, 3)
+    assert peak < n * n * np.dtype(complex).itemsize / 4
