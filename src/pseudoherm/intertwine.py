@@ -80,24 +80,30 @@ class Intertwiner:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2 (a read-only view).
+    """H1 = L# L and H2 = L L# with L# = eta1^-1 L^H eta2.
 
-    `checks` holds the Frobenius residuals of both, `factorization_h1` and
-    `factorization_h2`, against one threshold.
+    L and the two metrics are its data; L# is fixed by them, so it is a
+    property: each access forms a fresh read-only array, and
+    `dataclasses.replace` that changes L or a metric changes it too.
+    `checks` holds the Frobenius residuals of both factorizations,
+    `factorization_h1` and `factorization_h2`, against one threshold.
     """
 
     intertwiner: Intertwiner
     eta1: EtaOperator
     eta2: EtaOperator
-    lsharp: np.ndarray
     checks: tuple[ResidualCheck, ...]
-
-    def __post_init__(self) -> None:
-        _store_read_only(self, lsharp=self.lsharp)
 
     @property
     def matrix(self) -> np.ndarray:
         return self.intertwiner.matrix
+
+    @property
+    def lsharp(self) -> np.ndarray:
+        """L# = eta1^-1 L^H eta2, formed anew on each access (read-only)."""
+        lsharp = pseudo_adjoint(self.matrix, self.eta1, self.eta2)
+        lsharp.flags.writeable = False
+        return lsharp
 
 
 def match_spectra(sys1: BiorthonormalSystem, sys2: BiorthonormalSystem) -> SpectralPairing:
@@ -249,7 +255,9 @@ def canonical_factorization(
     Sign convention: -1 on negative real clusters of the first system, +1
     everywhere else; coefficients sqrt(|E|) / E / 1 on real / upper / lower
     clusters and 0 on the zero cluster. The residuals are measured against
-    the systems' own `h`, not psi diag(E) phi^H. Their threshold is
+    the systems' own `h`, not psi diag(E) phi^H, each formed in place in
+    the product it starts from; L# is formed once for both and not kept
+    (`Factorization.lsharp` forms it again). Their threshold is
     rtol * (1 + max ||H||) * cond(psi1) * cond(psi2), each condition number
     taken as the lower bound `_cond_lower_bound`, so it is never looser than
     with exact ones.
@@ -270,12 +278,18 @@ def canonical_factorization(
         intertwiner=intertwiner,
         eta1=eta1,
         eta2=eta2,
-        lsharp=lsharp,
         checks=(
-            ResidualCheck("factorization_h1", frobenius_norm(sys1.h - lsharp @ l), threshold),
-            ResidualCheck("factorization_h2", frobenius_norm(sys2.h - l @ lsharp), threshold),
+            ResidualCheck("factorization_h1", _difference_norm(lsharp @ l, sys1.h), threshold),
+            ResidualCheck("factorization_h2", _difference_norm(l @ lsharp, sys2.h), threshold),
         ),
     )
+
+
+def _difference_norm(product: np.ndarray, h: np.ndarray) -> float:
+    """||product - h||_F, subtracting in place in the fresh array `product`;
+    the same norm as ||h - product||_F."""
+    product -= h
+    return frobenius_norm(product)
 
 
 def self_factorization(
@@ -296,7 +310,7 @@ def verify_intertwining(
     h2 = as_matrix(h2, square=True)
     if l.shape != (h2.shape[0], h1.shape[0]):
         raise ValueError("intertwiner shape does not link the two matrices")
-    value = frobenius_norm(l @ h1 - h2 @ l)
+    value = _difference_norm(l @ h1, h2 @ l)
     scale = max(norm_lower_bound(h1), norm_lower_bound(h2))
     threshold = tol.rtol * (1.0 + scale) * (1.0 + norm_lower_bound(l))
     return ResidualCheck("intertwining", value, threshold)

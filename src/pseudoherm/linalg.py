@@ -222,11 +222,15 @@ def _residual_bound(
     2 (n + 2) eps covering a complex inner product of length n and the
     subtraction, rounded up.
     """
-    n = a.shape[0]
-    gamma = 2.0 * (n + 2) * _EPS
-    r = a @ x
-    r.reshape(-1)[:: n + 1] -= 1.0
-    return (frobenius_norm(r) + gamma * anorm * xnorm) * (1.0 + gamma)
+    gamma = 2.0 * (a.shape[0] + 2) * _EPS
+    return (_identity_residual(a @ x) + gamma * anorm * xnorm) * (1.0 + gamma)
+
+
+def _identity_residual(product: np.ndarray) -> float:
+    """||product - I||_F for a fresh square array `product`, subtracting 1
+    on its diagonal in place (no n x n identity)."""
+    product.reshape(-1)[:: product.shape[0] + 1] -= 1.0
+    return frobenius_norm(product)
 
 
 def certified_inverse(

@@ -286,11 +286,18 @@ def verify_pseudo_hermiticity(
 ) -> ResidualCheck:
     """Residual ||eta H eta^-1 - H^H||_F against
     rtol * (1 + ||H||) * ||eta|| * ||eta^-1||, each norm a `norm_lower_bound`.
+
+    The residual is formed in place as conj(eta H eta^-1) - H^T, the
+    entrywise conjugate of the same difference, so no conjugate copy of H is
+    made and the norm is the same.
     """
     h = as_matrix(h, square=True)
     if h.shape[0] != eta.dim:
         raise ValueError("matrix and metric dimensions differ")
-    value = frobenius_norm(eta.matrix @ h @ eta.inverse - h.conj().T)
+    r = eta.matrix @ h @ eta.inverse
+    np.conjugate(r, out=r)
+    r -= h.T
+    value = frobenius_norm(r)
     threshold = (
         tol.rtol
         * (1.0 + norm_lower_bound(h))

@@ -21,12 +21,12 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
+    _identity_residual,
     _store_read_only,
     as_matrix,
     certified_inverse,
     cond,
     eig,
-    frobenius_norm,
     rank,
     spectral_norm,
 )
@@ -405,10 +405,10 @@ def verify_biorthonormality(
     sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[ResidualCheck, ...]:
     """Frobenius residuals of phi^H psi = I (`biorthonormality_left`) and
-    psi phi^H = I (`biorthonormality_right`) against rtol * dim."""
-    eye = np.eye(sys.dim)
-    left = frobenius_norm(sys.phi.conj().T @ sys.psi - eye)
-    right = frobenius_norm(sys.psi @ sys.phi.conj().T - eye)
+    psi phi^H = I (`biorthonormality_right`) against rtol * dim, each
+    formed in place in its product (no n x n identity)."""
+    left = _identity_residual(sys.phi.conj().T @ sys.psi)
+    right = _identity_residual(sys.psi @ sys.phi.conj().T)
     threshold = tol.rtol * sys.dim
     return (
         ResidualCheck("biorthonormality_left", left, threshold),

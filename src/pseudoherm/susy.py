@@ -353,8 +353,9 @@ def _kernels(
     tol: Tolerance,
     s: np.ndarray | None = None,
     r: int | None = None,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """rank(D) and orthonormal bases of ker H+ and ker H-.
+) -> tuple[int, np.ndarray, np.ndarray, bool, bool]:
+    """rank(D), orthonormal bases of ker H+ and ker H-, and whether eta+ and
+    eta- are non-null on them (`_non_null`).
 
     For a square D the caller passes D's singular values `s` and its rank r
     under `rank`'s cutoff, and when 0 < r the bases come from
@@ -374,11 +375,16 @@ def _kernels(
     the metric-null directions x of V_perp, taken back by
     eta_minus^-1 U_r S_r^-1 V_r^H eta_plus x. Without null directions the
     kernels are V_perp and K#, and no basis is widened.
+
+    The flags cost no second restricted form where the bases' forms are
+    already known: certified bases are non-null by the certificate, and a
+    basis that was not widened is non-null when its own null directions are
+    none. Only a widened basis takes `_non_null` anew.
     """
     if s is not None and r > 0:
         bases = _solved_kernels(psys, tol, s, r)
         if bases is not None:
-            return (r, *bases)
+            return (r, *bases, True, True)
     u, s, vh, svd_rank = singular_system(psys.d, tol)
     r = svd_rank if r is None else r
     eta_plus, eta_minus = psys.eta_plus, psys.eta_minus
@@ -387,16 +393,19 @@ def _kernels(
     k_plus, k_minus = v_perp, k_sharp
     inv_s = 1.0 / s[:r, None]
     null_minus = k_sharp @ _null_modes(k_sharp, eta_minus, tol)
+    null_plus = v_perp @ _null_modes(v_perp, eta_plus, tol)
+    non_null_plus, non_null_minus = null_plus.shape[1] == 0, null_minus.shape[1] == 0
     if null_minus.shape[1]:
         preimage = vh[:r].conj().T @ (inv_s * (u[:, :r].conj().T @ null_minus))
         k_plus = _orthonormal(np.hstack([v_perp, preimage]))
-    null_plus = v_perp @ _null_modes(v_perp, eta_plus, tol)
+        non_null_plus = _non_null(k_plus, eta_plus, tol)
     if null_plus.shape[1]:
         preimage = eta_minus.inverse @ (
             u[:, :r] @ (inv_s * (vh[:r] @ (eta_plus.matrix @ null_plus)))
         )
         k_minus = _orthonormal(np.hstack([k_sharp, preimage]))
-    return r, k_plus, k_minus
+        non_null_minus = _non_null(k_minus, eta_minus, tol)
+    return r, k_plus, k_minus, non_null_plus, non_null_minus
 
 
 def witten_index(
@@ -427,8 +436,9 @@ def witten_index(
         rank_d = _rank_of(s, d.shape, tol)
     if rank_d == n_plus:
         k_plus = k_minus = np.zeros((n_plus, 0), dtype=complex)
+        non_null_plus = non_null_minus = True
     else:
-        rank_d, k_plus, k_minus = _kernels(psys, tol, s, rank_d)
+        rank_d, k_plus, k_minus, non_null_plus, non_null_minus = _kernels(psys, tol, s, rank_d)
     d0_plus = k_plus.shape[1]
     d0_minus = k_minus.shape[1]
     ker_d = n_plus - rank_d
@@ -456,8 +466,8 @@ def witten_index(
         betti_plus=ker_d - (d0_minus - ker_d_dagger),
         betti_minus=ker_d_dagger - (d0_plus - ker_d),
         analytic_index_d=ker_d - ker_d_dagger,
-        non_null_plus=_non_null(k_plus, psys.eta_plus, tol),
-        non_null_minus=_non_null(k_minus, psys.eta_minus, tol),
+        non_null_plus=non_null_plus,
+        non_null_minus=non_null_minus,
         checks=(ResidualCheck("kernel_complex", complex_residual, guard),),
     )
 
@@ -466,7 +476,10 @@ def from_factorization(fact: Factorization) -> PseudoSusySystem:
     """Promote a factorization to the graded system with D = sqrt(2) L.
 
     The partner Hamiltonians then reproduce the factored pair: H+ = L# L and
-    H- = L L#. D# = sqrt(2) L#, from the L# the factorization already holds.
+    H- = L L#. D# = sqrt(2) L#, from a fresh L# scaled in place, so it has
+    the bits of sqrt(2) * fact.lsharp without a second n x n array.
     """
     root2 = np.sqrt(2.0)
-    return PseudoSusySystem(root2 * fact.matrix, root2 * fact.lsharp, fact.eta1, fact.eta2)
+    d_sharp = pseudo_adjoint(fact.matrix, fact.eta1, fact.eta2)
+    d_sharp *= root2
+    return PseudoSusySystem(root2 * fact.matrix, d_sharp, fact.eta1, fact.eta2)

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from pseudoherm.metric import EtaOperator
+from pseudoherm.intertwine import canonical_factorization, verify_intertwining
+from pseudoherm.metric import EtaOperator, verify_pseudo_hermiticity
+from pseudoherm.spectral import decompose
+from pseudoherm.susy import from_factorization, verify_algebra, witten_index
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,3 +158,15 @@ def match_value_multisets(left, right) -> float:
         worst = max(worst, dists[k])
         right.pop(k)
     return worst
+
+
+def pair_pipeline(h1, h2):
+    """The benchmark's pair pipeline: decompose x2 -> factor -> verify ->
+    graded system -> algebra -> Witten index."""
+    fact = canonical_factorization(decompose(h1), decompose(h2))
+    verify_pseudo_hermiticity(h1, fact.eta1)
+    verify_pseudo_hermiticity(h2, fact.eta2)
+    verify_intertwining(fact.matrix, h1, h2)
+    psys = from_factorization(fact)
+    verify_algebra(psys)
+    return witten_index(psys)

@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from pseudoherm import spectral, susy
 from pseudoherm.errors import NonDiagonalizable
-from pseudoherm.intertwine import (
-    canonical_factorization,
-    self_factorization,
-    verify_intertwining,
-)
+from pseudoherm.intertwine import canonical_factorization, self_factorization
 from pseudoherm.linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -33,7 +29,7 @@ from pseudoherm.linalg import (
     rank,
     singular_values,
 )
-from pseudoherm.metric import EtaOperator, verify_pseudo_hermiticity
+from pseudoherm.metric import EtaOperator
 from pseudoherm.spectral import _cond_checked_inverse, decompose
 from pseudoherm.susy import (
     _ANGLE_MAX,
@@ -41,11 +37,16 @@ from pseudoherm.susy import (
     _solved_kernels,
     assemble,
     from_factorization,
-    verify_algebra,
     witten_index,
 )
 
-from support import draw_spectrum, matrix_with_spectrum, random_metric, random_unitary
+from support import (
+    draw_spectrum,
+    matrix_with_spectrum,
+    pair_pipeline,
+    random_metric,
+    random_unitary,
+)
 
 def with_singular_values(s, rng):
     n = len(s)
@@ -222,18 +223,6 @@ def svd_counter(monkeypatch):
     return calls
 
 
-def pair_pipeline(h1, h2):
-    """The benchmark's pair pipeline: decompose x2 -> factor -> verify ->
-    graded system -> algebra -> Witten index."""
-    fact = canonical_factorization(decompose(h1), decompose(h2))
-    verify_pseudo_hermiticity(h1, fact.eta1)
-    verify_pseudo_hermiticity(h2, fact.eta2)
-    verify_intertwining(fact.matrix, h1, h2)
-    psys = from_factorization(fact)
-    verify_algebra(psys)
-    return witten_index(psys)
-
-
 def spy(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -309,15 +298,13 @@ def square_system(sigma, definite, rng):
 
 
 def svd_outcomes(psys, tol=DEFAULT_TOLERANCE):
-    """d0+-, ker_d and the two flags from the bases of D's full SVD."""
-    r, k_plus, k_minus = susy._kernels(psys, tol)
-    return (
-        k_plus.shape[1],
-        k_minus.shape[1],
-        psys.dim_plus - r,
-        _non_null(k_plus, psys.eta_plus, tol),
-        _non_null(k_minus, psys.eta_minus, tol),
-    )
+    """d0+-, ker_d and the two flags from the bases of D's full SVD; the
+    flags are `_non_null` on those bases, which the flags `_kernels` returns
+    must equal."""
+    r, k_plus, k_minus, *flags = susy._kernels(psys, tol)
+    non_null = [_non_null(k_plus, psys.eta_plus, tol), _non_null(k_minus, psys.eta_minus, tol)]
+    assert flags == non_null
+    return (k_plus.shape[1], k_minus.shape[1], psys.dim_plus - r, *non_null)
 
 
 def witten_outcomes(wit):
@@ -364,6 +351,22 @@ class TestKernelCertificate:
         k_sharp = np.linalg.qr(eta_m.inverse @ w_sharp)[0]
         svd_sharp = np.linalg.qr(eta_m.inverse @ u[:, r:])[0]
         assert sine_to(svd_sharp, k_sharp) <= widening * (theta + svd_error)
+
+    @pytest.mark.parametrize("rows", [24, 26])
+    def test_kernel_flags_take_no_second_restricted_form(self, rows, monkeypatch):
+        # a square D of rank n - 3 takes the certified solves, a rectangular
+        # one the SVD; neither widens a basis, so the two flags come from the
+        # restricted forms `_kernels` already took, one per sector
+        rng = np.random.default_rng(14)
+        d = (random_unitary(rows, rng)[:, :21] * rng.uniform(0.5, 2.0, size=21)) @ (
+            random_unitary(24, rng)[:, :21].conj().T
+        )
+        psys = assemble(d, random_metric(24, True, rng), random_metric(rows, True, rng))
+        forms = spy(monkeypatch, susy, "_restricted_form")
+        systems = spy(monkeypatch, susy, "singular_system")
+        wit = witten_index(psys)
+        assert (wit.ker_d, wit.ker_d_dagger, wit.non_null_kernels) == (3, rows - 21, True)
+        assert (len(forms), len(systems)) == (2, int(rows != 24))
 
     def test_an_exact_zero_pivot_reaches_the_svd(self, monkeypatch):
         rng = np.random.default_rng(0)

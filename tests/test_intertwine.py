@@ -6,6 +6,7 @@ import pytest
 
 from pseudoherm.errors import NotIsospectral, NotPseudoHermitian
 from pseudoherm.intertwine import (
+    Factorization,
     build_L,
     canonical_factorization,
     match_spectra,
@@ -20,7 +21,7 @@ from pseudoherm.spectral import (
     decompose,
 )
 from pseudoherm.twolevel import TwoLevelParams, closed_form_system
-from pseudoherm.metric import pseudo_adjoint
+from pseudoherm.metric import EtaOperator, pseudo_adjoint
 
 import matching_reference
 from support import (
@@ -259,6 +260,34 @@ class TestCanonicalFactorization:
         assert verify_intertwining(scaled.matrix, h1, h2).value <= 1e-7
         lsharp = pseudo_adjoint(scaled.matrix, fact.eta1, fact.eta2)
         assert np.linalg.norm(lsharp @ scaled.matrix - h1, 2) > 1.0
+
+
+class TestLsharp:
+    """L# is formed from L and the metrics on each access, never stored."""
+
+    @pytest.fixture(scope="class")
+    def fact(self):
+        sys1, sys2 = isospectral_pair(np.random.default_rng(21), 6)
+        return canonical_factorization(sys1, sys2)
+
+    def test_each_access_is_a_new_read_only_array(self, fact):
+        first, second = fact.lsharp, fact.lsharp
+        assert not np.shares_memory(first, second)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
+    def test_is_the_pseudo_adjoint_of_l(self, fact):
+        assert np.array_equal(fact.lsharp, pseudo_adjoint(fact.matrix, fact.eta1, fact.eta2))
+
+    def test_follows_a_replaced_metric(self, fact):
+        # doubling eta2 doubles L# = eta1^-1 L^H eta2 exactly
+        eta2 = EtaOperator(matrix=2.0 * fact.eta2.matrix, inverse=0.5 * fact.eta2.inverse)
+        assert np.array_equal(replace(fact, eta2=eta2).lsharp, 2.0 * fact.lsharp)
+
+    def test_cannot_be_passed_in(self, fact):
+        fields = {name: getattr(fact, name) for name in ("intertwiner", "eta1", "eta2", "checks")}
+        with pytest.raises(TypeError, match="unexpected keyword argument 'lsharp'"):
+            Factorization(**fields, lsharp=fact.lsharp)
 
 
 class TestSelfFactorization:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pseudoherm import spectral
 from pseudoherm.errors import NonDiagonalizable
-from pseudoherm.linalg import DEFAULT_TOLERANCE, Tolerance
+from pseudoherm.linalg import DEFAULT_TOLERANCE, Tolerance, frobenius_norm
 from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_REAL,
@@ -151,6 +151,18 @@ class TestBiorthonormality:
         left = {c.name: c for c in verify_biorthonormality(sys)}["biorthonormality_left"]
         assert left.value == pytest.approx(1e-3, rel=5)
         assert not left.passed
+
+    def test_residuals_equal_the_differences_from_an_identity(self):
+        # formed in place, with the bits of the n x n identity subtracted
+        rng = np.random.default_rng(2)
+        sys = decompose(random_paired_hamiltonian(rng, 12))
+        eye = np.eye(sys.dim)
+        expected = [
+            frobenius_norm(sys.phi.conj().T @ sys.psi - eye),
+            frobenius_norm(sys.psi @ sys.phi.conj().T - eye),
+        ]
+        assert [c.value for c in verify_biorthonormality(sys)] == expected
+        assert all(value > 0.0 for value in expected)
 
 
 class TestReconstruct:

@@ -34,6 +34,7 @@ from support import (
     engineered_rank_map,
     match_value_multisets,
     matrix_with_spectrum,
+    pair_pipeline,
     positive_definite,
     random_metric,
     random_unitary,
@@ -489,7 +490,7 @@ class TestWittenIndex:
         assert (wit.betti_plus, wit.betti_minus) == (wit.ker_d - z_plus, wit.ker_d_dagger - z_minus)
         assert (wit.non_null_plus, wit.non_null_minus) == (not z_plus, not z_minus)
         assert wit.delta_equals_analytic_d == (z_plus == z_minus)
-        _, k_plus, k_minus = susy._kernels(psys, DEFAULT_TOLERANCE)
+        _, k_plus, k_minus, _, _ = susy._kernels(psys, DEFAULT_TOLERANCE)
         for h, k in ((psys.h_plus, k_plus), (psys.h_minus, k_minus)):
             assert k.shape[1] == kernel_basis(h).shape[1]
             assert frobenius_norm(k.conj().T @ k - np.eye(k.shape[1])) <= 1e-14
@@ -666,3 +667,18 @@ def test_witten_index_of_a_singular_square_d_takes_no_full_svd():
     wit, peak = _traced_peak(lambda: witten_index(psys))
     assert (wit.d0_plus, wit.d0_minus) == (3, 3)
     assert peak < n * n * np.dtype(complex).itemsize / 4
+
+
+
+def test_pair_pipeline_peak_is_its_kept_arrays_and_two_temporaries(bench_inputs):
+    # one n = 256 pair with a three-dimensional zero cluster. From the
+    # factorization on, nine n x n arrays are kept: psi and phi of both
+    # systems, the two metrics and their inverses, and L. L# is formed only
+    # while a stage needs it and every residual is formed in place, so no
+    # stage adds more than two n x n arrays to them (D and D# at the end)
+    first, second = bench_inputs.pair_inputs("pair_degenerate", 1)
+    n = first.h.shape[0]
+    pair_pipeline(first.h, second.h)  # first call: caches and lazy imports
+    wit, peak = _traced_peak(lambda: pair_pipeline(first.h, second.h))
+    assert (n, wit.d0_plus, wit.d0_minus) == (256, 3, 3)
+    assert peak / (n * n * np.dtype(complex).itemsize) <= 11.5
