@@ -35,7 +35,6 @@ from .linalg import (
     ResidualCheck,
     Tolerance,
     eig,
-    kernel_basis,
     rank,
 )
 from .metric import (

@@ -15,11 +15,11 @@ tries a one-sided certificate from matrices already held (`certified_inverse`
 bounds the smallest singular value from below, ||eta||_F bounds ||eta||_2
 from above), and the exact SVD (`cond`, `spectral_norm`) runs only when the
 certificate cannot decide, so every outcome is the one the SVD gives. Every
-rank and kernel decision shares one cutoff (`rank`, `singular_system`,
-`kernel_basis`). For a square matrix of known singular values and rank,
-`kernels_from_solves` finds bases of both kernels from two LU solves with a
-bound on their angle to the SVD's, so that a caller can certify what it reads
-from them and take the full SVD only when it cannot.
+rank and kernel decision shares one cutoff (`rank`, `singular_system`). For a
+square matrix of known singular values and rank, `kernels_from_solves` finds
+bases of both kernels from two LU solves with a bound on their angle to the
+SVD's, so that a caller can certify what it reads from them and take the full
+SVD only when it cannot.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "singular_values",
     "rank",
     "singular_system",
-    "kernel_basis",
     "kernels_from_solves",
 ]
 
@@ -312,16 +311,6 @@ def singular_system(
         return np.eye(rows, dtype=complex), np.zeros(0), np.eye(cols, dtype=complex), 0
     u, s, vh = np.linalg.svd(a)
     return u, s, vh, _rank_of(s, a.shape, tol)
-
-
-def kernel_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, one column per direction.
-
-    Shares the rank cutoff, so rank(m) + kernel dim = number of columns.
-    Returns an (n, 0) array when the kernel is trivial.
-    """
-    _, _, vh, r = singular_system(m, tol)
-    return vh[r:].conj().T
 
 
 def _orthonormal(m: np.ndarray) -> np.ndarray:

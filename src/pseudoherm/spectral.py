@@ -10,6 +10,7 @@ linked when they exist with equal multiplicity.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import NonDiagonalizable
 from .linalg import (
+    _EPS,
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
@@ -251,12 +253,12 @@ def _eigenvectors_certified(
     psi: np.ndarray,
     degenerate: list[EigenCluster],
     scale: float,
-    ctol: float,
+    atols: np.ndarray,
     tol: Tolerance,
 ) -> np.ndarray:
     """Per cluster of `degenerate`, True when its columns V of psi prove
     n - rank(h - value*I, shifted) >= multiplicity, where `shifted` is `tol`
-    with atol widened to 2 * multiplicity * ctol, as in `decompose`.
+    with atol widened to the cluster's entry of `atols`, as in `decompose`.
 
     `scale` is ||H||_2. With R = H V - value V, Courant-Fischer bounds mu
     singular values of H - value I by ||R||_F / sigma_min(V). rank's cutoff
@@ -278,7 +280,6 @@ def _eigenvectors_certified(
     if not degenerate:
         return np.zeros(0, dtype=bool)
     n = h.shape[0]
-    eps = np.finfo(float).eps
     mults = np.array([c.multiplicity for c in degenerate])
     values = np.array([c.value for c in degenerate])
     starts = np.cumsum(mults) - mults
@@ -292,12 +293,11 @@ def _eigenvectors_certified(
         stacked = block[:, starts[which, None] + np.arange(mu)].transpose(1, 0, 2)
         gram = stacked.conj().transpose(0, 2, 1) @ stacked
         gram_min[which] = np.linalg.eigvalsh(gram)[:, 0]
-    smin = np.sqrt(np.maximum(gram_min - 2.0 * (n + mults + 2) * eps * vnorm**2, 0.0))
+    smin = np.sqrt(np.maximum(gram_min - 2.0 * (n + mults + 2) * _EPS * vnorm**2, 0.0))
     size = np.abs(values)
-    resid += n * eps * (np.sqrt(n) * scale + size) * vnorm
-    svd_rounding = n * eps * (scale + size)
-    atol = np.maximum(tol.atol, 2.0 * mults * ctol)
-    c_low = np.maximum(atol, n * tol.rtol * np.maximum(scale - size, 0.0))
+    resid += n * _EPS * (np.sqrt(n) * scale + size) * vnorm
+    svd_rounding = n * _EPS * (scale + size)
+    c_low = np.maximum(atols, n * tol.rtol * np.maximum(scale - size, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):  # smin = 0 fails below
         bound = resid / smin + svd_rounding
     return (smin > 0.0) & (bound <= 0.5 * c_low)
@@ -356,23 +356,18 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     inverse = _cond_checked_inverse(psi, tol)
     n = h.shape[0]
     degenerate = [c for c in clusters if c.multiplicity > 1]
-    certified = _eigenvectors_certified(h, psi, degenerate, scale, ctol, tol)
-    for c, ok in zip(degenerate, certified):
+    # clusters may span up to multiplicity * ctol after transitive merging
+    atols = np.maximum(tol.atol, 2.0 * np.array([c.multiplicity for c in degenerate]) * ctol)
+    certified = _eigenvectors_certified(h, psi, degenerate, scale, atols, tol)
+    for c, ok, atol in zip(degenerate, certified, atols):
         if ok:
             continue
-        mult = c.multiplicity
-        # clusters may span up to mult*ctol after transitive merging
-        shifted_tol = Tolerance(
-            rtol=tol.rtol,
-            atol=max(tol.atol, 2.0 * mult * ctol),
-            cond_max=tol.cond_max,
-        )
-        # rank shares kernel_basis's cutoff, so n - rank is the kernel dimension
-        geometric = n - rank(h - c.value * np.eye(n), shifted_tol)
-        if geometric < mult:
+        # n - rank is the dimension of the numerical kernel
+        geometric = n - rank(h - c.value * np.eye(n), dataclasses.replace(tol, atol=float(atol)))
+        if geometric < c.multiplicity:
             raise NonDiagonalizable(
                 f"eigenvalue {c.value:.6g}: geometric multiplicity {geometric} "
-                f"below algebraic multiplicity {mult}"
+                f"below algebraic multiplicity {c.multiplicity}"
             )
 
     return BiorthonormalSystem(

@@ -17,9 +17,11 @@ the analytic index of D (expected when no kernel vector is metric-null).
 Every zero-mode count comes from D's rank and the metric-null directions
 of ker D and ker D#; no n x n factorization of H+ or H- is made. A square D
 takes its singular values once, which decide its rank; when it is singular,
-two LU solves give both kernels with a certificate that they yield the
-SVD's counts and flags. Only a rectangular D, or a kernel the certificate
-cannot decide, takes a full SVD of D.
+two LU solves give bases of both kernels with a bound on their angle. Those
+bases and the SVD's go through one pipeline, with one test of which
+directions may be metric-null: bases from the solves are kept only when it
+proves they yield the SVD's counts and flags. Only a rectangular D, or a
+kernel that test cannot decide, takes a full SVD of D.
 """
 
 from __future__ import annotations
@@ -133,15 +135,13 @@ class WittenReport:
 
     With r the numerical rank of D, n+ and n- the sector dimensions, and z+
     (z-) the number of metric-null directions of ker D (ker D#):
-    d0_plus = n+ - r + z-, d0_minus = n- - r + z+, ker_d0 = ker_d = n+ - r,
-    ker_d0_flat = ker_d_dagger = n- - r, betti_plus = n+ - r - z+ and
-    betti_minus = n- - r - z-, so no count is negative. ker_d0 and
-    ker_d0_flat always equal ker_d and ker_d_dagger; they stay as fields of
-    the report's schema. delta = d0_plus - d0_minus equals
-    betti_plus - betti_minus by construction, and `analytic_index_d` =
-    ker_d - ker_d_dagger equals dim_plus - dim_minus by rank-nullity;
-    `delta_equals_analytic_d` is the index theorem, which holds whenever
-    `non_null_kernels` does.
+    d0_plus = n+ - r + z-, d0_minus = n- - r + z+, ker_d = n+ - r,
+    ker_d_dagger = n- - r, betti_plus = n+ - r - z+ and
+    betti_minus = n- - r - z-, so no count is negative. delta =
+    d0_plus - d0_minus equals betti_plus - betti_minus by construction, and
+    `analytic_index_d` = ker_d - ker_d_dagger equals dim_plus - dim_minus by
+    rank-nullity; `delta_equals_analytic_d` is the index theorem, which holds
+    whenever `non_null_kernels` does.
 
     Every count and flag is the one D's SVD gives, whether `witten_index`
     read the kernels from two certified LU solves (a square, singular D) or
@@ -156,8 +156,6 @@ class WittenReport:
     delta: int
     ker_d: int
     ker_d_dagger: int
-    ker_d0: int
-    ker_d0_flat: int
     betti_plus: int
     betti_minus: int
     analytic_index_d: int
@@ -278,22 +276,35 @@ def _restricted_form(basis: np.ndarray, eta: EtaOperator) -> tuple[np.ndarray, n
     return np.linalg.eigh(0.5 * (restricted + restricted.conj().T))
 
 
-def _null_modes(basis: np.ndarray, eta: EtaOperator, tol: Tolerance) -> np.ndarray:
-    """Coordinates of the metric-null directions of span(basis), one column
-    each; `basis` has orthonormal columns.
+def _possibly_null(
+    basis: np.ndarray, eta: EtaOperator, tol: Tolerance, angle: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moduli and eigenvectors of the eigenvalues of the restricted form of
+    eta on `basis` (orthonormal, not empty), and which of them may be null.
 
-    A direction is null when its eigenvalue of the restricted form
-    basis^H eta basis has modulus at most atol * ||eta||_2, so the count is
-    basis-independent. ||eta||_F bounds ||eta||_2 from above, so an
-    eigenvalue above atol * ||eta||_F, widened by n^2 eps for the rounding of
-    both norms, is not null under the exact rule either; only when one is at
-    or below that does the exact `eta.norm` (an SVD) decide.
+    A direction is null when its eigenvalue has modulus at most
+    atol ||eta||_2. ||eta||_F bounds ||eta||_2 from above, so an eigenvalue
+    above atol ||eta||_F (1 + n^2 eps), which covers the rounding of both
+    norms, is not null. When `basis` is only within sine theta <= `_ANGLE_MAX`
+    of the subspace it stands for, the cutoff widens by
+    (2 theta + 2 theta^2) ||eta||_F, since the two subspaces' eigenvalues
+    then differ by at most (2 theta + 2 theta^2) ||eta||_2; an SVD basis has
+    theta = 0. The caller decides what a possibly-null eigenvalue means.
     """
-    if basis.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
     values, vectors = _restricted_form(basis, eta)
     size = np.abs(values)
-    null = size <= tol.atol * frobenius_norm(eta.matrix) * (1.0 + eta.dim**2 * _EPS)
+    cutoff = tol.atol * (1.0 + eta.dim**2 * _EPS) + 2.0 * angle * (1.0 + angle)
+    return size, vectors, size <= cutoff * frobenius_norm(eta.matrix)
+
+
+def _null_modes(basis: np.ndarray, eta: EtaOperator, tol: Tolerance) -> np.ndarray:
+    """Coordinates of the metric-null directions of span(basis), one column
+    each; `basis` has orthonormal columns. The exact `eta.norm` (an SVD)
+    settles the eigenvalues `_possibly_null` marks, so the count is
+    basis-independent."""
+    if basis.shape[1] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    size, vectors, null = _possibly_null(basis, eta, tol)
     if null.any():
         null = size <= tol.atol * eta.norm
     return vectors[:, null]
@@ -305,47 +316,24 @@ def _non_null(kernel: np.ndarray, eta: EtaOperator, tol: Tolerance) -> bool:
     return _null_modes(kernel, eta, tol).shape[1] == 0
 
 
-# Largest angle bound at which `_solved_kernels` uses a basis: up to it,
-# orthonormal bases of two subspaces at angle sine theta can be aligned to
-# within theta + theta^3, so an eigenvalue of eta's restricted form moves by
-# at most (2 theta + 2 theta^2) ||eta||_2 between them.
+# Largest angle bound at which `_kernels` uses a basis from the solves: up to
+# it, orthonormal bases of two subspaces at angle sine theta can be aligned to
+# within theta + theta^3, the alignment `_possibly_null`'s widening rests on.
 _ANGLE_MAX = 0.25
 
 
-def _solved_kernels(
-    psys: PseudoSusySystem, tol: Tolerance, s: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Orthonormal bases of ker D and ker D# for a square D of singular values
-    `s` and rank 0 < r < n, from `kernels_from_solves`, when they provably
-    give the counts and flags of the SVD's bases; None when they may not.
-
-    W spans ker D to within the angle bound theta. W# does so for ker D^H,
-    and K# = orth(eta-^-1 W#) then spans ker D# to within
-    theta ||eta-||_F ||eta-^-1||_F: an invertible map widens the sine of an
-    angle between subspaces by at most its condition number. Both angles must
-    be at most `_ANGLE_MAX`, and every eigenvalue of eta+ on W and of eta- on
-    K# must clear `_null_modes`' cutoff atol ||eta||_F (1 + n^2 eps) by
-    (2 theta + 2 theta^2) ||eta||_F with that basis's angle. Then no direction
-    of either kernel is metric-null, as for the SVD's bases, so the kernels of
-    H+ and H- are ker D and ker D#, and every count and flag is the SVD's.
-    A null or undecided direction returns None: its preimage under D needs
-    the SVD's U_r S_r V_r^H.
-    """
-    found = kernels_from_solves(psys.d, s, r)
-    if found is None:
-        return None
-    w, w_sharp, theta = found
+def _sectors(
+    psys: PseudoSusySystem, w: np.ndarray, w_sharp: np.ndarray, theta: float
+) -> tuple[tuple[np.ndarray, EtaOperator, float], tuple[np.ndarray, EtaOperator, float]]:
+    """(basis, metric, angle bound) of ker D and of ker D# from orthonormal
+    bases W of ker D and W# of ker D^H within sine theta of them: W, and
+    K# = orth(eta-^-1 W#) within theta ||eta-||_F ||eta-^-1||_F, since an
+    invertible map widens the sine of an angle by at most its condition
+    number."""
     eta_minus = psys.eta_minus
     k_sharp = _orthonormal(eta_minus.inverse @ w_sharp)
     widened = theta * frobenius_norm(eta_minus.matrix) * frobenius_norm(eta_minus.inverse)
-    for basis, eta, angle in ((w, psys.eta_plus, theta), (k_sharp, eta_minus, widened)):
-        if not angle <= _ANGLE_MAX:
-            return None
-        clear = tol.atol * (1.0 + eta.dim**2 * _EPS) + 2.0 * angle * (1.0 + angle)
-        values, _ = _restricted_form(basis, eta)
-        if np.min(np.abs(values)) <= clear * frobenius_norm(eta.matrix):
-            return None
-    return w, k_sharp
+    return (w, psys.eta_plus, theta), (k_sharp, eta_minus, widened)
 
 
 def _kernels(
@@ -357,17 +345,21 @@ def _kernels(
     """rank(D), orthonormal bases of ker H+ and ker H-, and whether eta+ and
     eta- are non-null on them (`_non_null`).
 
-    For a square D the caller passes D's singular values `s` and its rank r
-    under `rank`'s cutoff, and when 0 < r the bases come from
-    `_solved_kernels` if it can certify them. One full SVD of D is taken
-    otherwise: for a rectangular D, r = 0, a solve with an exact zero pivot
-    or a result that is not finite, an angle bound above `_ANGLE_MAX`, an
-    eigenvalue of a restricted form within the certificate's margin, and any
-    metric-null direction. A square D keeps the caller's r there.
+    Both sources of kernel bases take the same steps: W and W#, then K#
+    (`_sectors`), then one restricted-form test per sector
+    (`_possibly_null`). For a square D the caller passes D's singular values
+    `s` and its rank r under `rank`'s cutoff, and when 0 < r the first source
+    is `kernels_from_solves`. Its bases are kept when both angles are at most
+    `_ANGLE_MAX` and no eigenvalue may be null: then neither kernel has a
+    metric-null direction, as with the SVD's bases, so ker H+- are ker D and
+    ker D#, and every count and flag is the SVD's. Otherwise, and for a
+    rectangular D, r = 0, or a solve with an exact zero pivot or a result
+    that is not finite, the source is one full SVD of D (theta = 0), and the
+    exact `eta.norm` settles each possibly-null eigenvalue (`_null_modes`).
+    A square D keeps the caller's r there.
 
-    With D = U S V^H of numerical rank r, V_perp = V[:, r:] spans ker D and
-    K# = orth(eta_minus^-1 U[:, r:]) spans ker D# = eta_minus^-1 ker D^H.
-    ker H+ = ker(D# D) is ker D plus the preimage under D of
+    With D = U S V^H of numerical rank r, W = V_perp = V[:, r:] and
+    W# = U[:, r:]. ker H+ = ker(D# D) is ker D plus the preimage under D of
     ker D# & range D, and that intersection is spanned by the metric-null
     directions of K# (eta_minus K# spans ker D^H, the orthogonal complement
     of range D); its preimage is D^+ = V_r S_r^-1 U_r^H applied to them.
@@ -377,24 +369,27 @@ def _kernels(
     kernels are V_perp and K#, and no basis is widened.
 
     The flags cost no second restricted form where the bases' forms are
-    already known: certified bases are non-null by the certificate, and a
-    basis that was not widened is non-null when its own null directions are
-    none. Only a widened basis takes `_non_null` anew.
+    already known: bases from the solves passed the test, and a basis that
+    was not widened is non-null when its own null directions are none. Only
+    a widened basis takes `_non_null` anew.
     """
-    if s is not None and r > 0:
-        bases = _solved_kernels(psys, tol, s, r)
-        if bases is not None:
-            return (r, *bases, True, True)
+    found = kernels_from_solves(psys.d, s, r) if s is not None and r > 0 else None
+    if found is not None:
+        sectors = _sectors(psys, *found)
+        (w, _, _), (k_sharp, _, _) = sectors
+        if all(
+            angle <= _ANGLE_MAX and not _possibly_null(basis, eta, tol, angle)[2].any()
+            for basis, eta, angle in sectors
+        ):
+            return r, w, k_sharp, True, True
     u, s, vh, svd_rank = singular_system(psys.d, tol)
     r = svd_rank if r is None else r
-    eta_plus, eta_minus = psys.eta_plus, psys.eta_minus
-    v_perp = vh[r:].conj().T
-    k_sharp = _orthonormal(eta_minus.inverse @ u[:, r:])
+    sectors = _sectors(psys, vh[r:].conj().T, u[:, r:], 0.0)
+    (v_perp, eta_plus, _), (k_sharp, eta_minus, _) = sectors
+    null_plus, null_minus = (basis @ _null_modes(basis, eta, tol) for basis, eta, _ in sectors)
     k_plus, k_minus = v_perp, k_sharp
-    inv_s = 1.0 / s[:r, None]
-    null_minus = k_sharp @ _null_modes(k_sharp, eta_minus, tol)
-    null_plus = v_perp @ _null_modes(v_perp, eta_plus, tol)
     non_null_plus, non_null_minus = null_plus.shape[1] == 0, null_minus.shape[1] == 0
+    inv_s = 1.0 / s[:r, None]
     if null_minus.shape[1]:
         preimage = vh[:r].conj().T @ (inv_s * (u[:, :r].conj().T @ null_minus))
         k_plus = _orthonormal(np.hstack([v_perp, preimage]))
@@ -415,9 +410,9 @@ def witten_index(
 
     r is the numerical rank of D under `rank`'s cutoff. A square D takes its
     singular values once: they give r, and when 0 < r < n two LU solves give
-    certified bases of ker D and ker D# (`_solved_kernels`); a rectangular D,
-    or a kernel the certificate cannot decide, takes one full SVD of D
-    (`_kernels`), so every count and flag is the one that SVD gives.
+    bases of ker D and ker D#. `_kernels` keeps them when its null test
+    certifies them and takes one full SVD of D otherwise, as it does for a
+    rectangular D, so every count and flag is the one that SVD gives.
     ker D lies in ker H+ and ker D# in ker H-, so ker D0 = ker D and
     ker D0# = ker D# for the restrictions D0, D0# of D and D# to the kernels
     of H+ and H-. D0 has rank z- = dim ker H+ - (n+ - r),
@@ -461,8 +456,6 @@ def witten_index(
         delta=d0_plus - d0_minus,
         ker_d=ker_d,
         ker_d_dagger=ker_d_dagger,
-        ker_d0=ker_d,
-        ker_d0_flat=ker_d_dagger,
         betti_plus=ker_d - (d0_minus - ker_d_dagger),
         betti_minus=ker_d_dagger - (d0_plus - ker_d),
         analytic_index_d=ker_d - ker_d_dagger,

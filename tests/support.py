@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from pseudoherm.intertwine import canonical_factorization, verify_intertwining
+from pseudoherm.linalg import DEFAULT_TOLERANCE, Tolerance, singular_system
 from pseudoherm.metric import EtaOperator, verify_pseudo_hermiticity
 from pseudoherm.spectral import decompose
 from pseudoherm.susy import from_factorization, verify_algebra, witten_index
@@ -16,6 +17,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kernel_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """The SVD reference for a numerical kernel: an orthonormal basis of it,
+    one column per direction, an (n, 0) array when it is trivial. It shares
+    `rank`'s cutoff, so rank(m) + kernel dim = number of columns."""
+    _, _, vh, r = singular_system(m, tol)
+    return vh[r:].conj().T
 
 
 def random_metric(n: int, definite: bool, rng: np.random.Generator) -> EtaOperator:

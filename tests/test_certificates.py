@@ -24,7 +24,6 @@ from pseudoherm.linalg import (
     certified_inverse,
     cond,
     frobenius_norm,
-    kernel_basis,
     kernels_from_solves,
     rank,
     singular_values,
@@ -34,7 +33,6 @@ from pseudoherm.spectral import _cond_checked_inverse, decompose
 from pseudoherm.susy import (
     _ANGLE_MAX,
     _non_null,
-    _solved_kernels,
     assemble,
     from_factorization,
     witten_index,
@@ -42,6 +40,7 @@ from pseudoherm.susy import (
 
 from support import (
     draw_spectrum,
+    kernel_basis,
     matrix_with_spectrum,
     pair_pipeline,
     random_metric,
@@ -389,27 +388,52 @@ class TestKernelCertificate:
         assert witten_outcomes(wit) == svd_outcomes(psys)
         assert (wit.d0_plus, wit.d0_minus) == (4, 4)
 
+    @pytest.mark.parametrize("sector", ["plus", "minus"])
     @pytest.mark.parametrize("margins, solved", [(0.5, False), (2.0, True)])
-    def test_an_eigenvalue_inside_the_margin_reaches_the_svd(self, margins, solved, monkeypatch):
-        # eta+ = V M V^H is indefinite and well conditioned, and its form on
-        # the kernel vector v of D is lam, `margins` certificate margins above
-        # the null cutoff atol ||eta+||_F: inside the margin only the SVD
-        # decides, outside it the solves do
+    def test_an_eigenvalue_inside_the_margin_reaches_the_svd(
+        self, sector, margins, solved, monkeypatch
+    ):
+        # one sector's metric is indefinite and well conditioned, and its form
+        # on that sector's kernel vector is lam = c ||eta||_F, `margins`
+        # certificate margins above the null cutoff atol ||eta||_F
+        # (1 + n^2 eps): inside the margin only the SVD decides, outside it
+        # the solves do. The other sector's metric is definite.
         n, tol = 6, DEFAULT_TOLERANCE
         rng = np.random.default_rng(2)
         u, v = random_unitary(n, rng), random_unitary(n, rng)
         d = (u * np.array([1.0, 0.5, 0.3, 0.1, 1e-4, 0.0])) @ v.conj().T
         _, _, theta = kernels_from_solves(d, singular_values(d), n - 1)
-        assert theta <= _ANGLE_MAX
         m = np.diag(np.append(rng.uniform(0.5, 2.0, size=n - 2), [0.0, 0.0]))
         m[-1, -2] = m[-2, -1] = 1.0
-        # lam = c ||eta+||_F with ||eta+||_F^2 = lam^2 + ||m||_F^2
-        c = tol.atol * (1.0 + n**2 * np.finfo(float).eps) + margins * 2.0 * theta * (1.0 + theta)
-        m[-1, -1] = c * np.linalg.norm(m) / np.sqrt(1.0 - c**2)
-        eta_p = EtaOperator.from_matrix(v @ m @ v.conj().T)
-        psys = assemble(d, eta_p, random_metric(n, True, rng))
-        bases = _solved_kernels(psys, tol, singular_values(psys.d), n - 1)
-        assert (bases is not None) == solved
+
+        def lam_over_norm(angle):
+            eps = np.finfo(float).eps
+            return tol.atol * (1.0 + n**2 * eps) + margins * 2.0 * angle * (1.0 + angle)
+
+        if sector == "plus":
+            # ker D is spanned by v[:, -1], so eta+ = V m V^H has the form
+            # lam = m[-1, -1] on it, and ||eta+||_F^2 = lam^2 + ||m||_F^2
+            angle = theta
+            c = lam_over_norm(angle)
+            m[-1, -1] = c * np.linalg.norm(m) / np.sqrt(1.0 - c**2)
+            eta_p, eta_m = EtaOperator.from_matrix(v @ m @ v.conj().T), random_metric(n, True, rng)
+        else:
+            # ker D^H is spanned by u[:, -1] and ker D# = eta-^-1 ker D^H, so
+            # eta-^-1 = U m U^H with m[-1, -1] = b gives ker D# the vector
+            # U (.., 1, b) / sqrt(1 + b^2), and eta-'s form on it is
+            # b / (1 + b^2); the margin widens by ||eta-||_F ||eta-^-1||_F
+            b = 0.0
+            for _ in range(4):
+                m[-1, -1] = b
+                metric = np.linalg.inv(m)
+                angle = theta * np.linalg.norm(metric) * np.linalg.norm(m)
+                b = lam_over_norm(angle) * np.linalg.norm(metric) * (1.0 + b**2)
+            m[-1, -1] = b
+            eta_p, eta_m = random_metric(n, True, rng), EtaOperator.from_matrix(
+                u @ np.linalg.inv(m) @ u.conj().T
+            )
+        assert angle <= _ANGLE_MAX
+        psys = assemble(d, eta_p, eta_m)
         systems = spy(monkeypatch, susy, "singular_system")
         wit = witten_index(psys)
         assert len(systems) == (0 if solved else 1)

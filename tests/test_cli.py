@@ -722,8 +722,8 @@ class TestEmitReport:
 
 WITTEN_KEYS = [
     "analytic_index_d", "betti_minus", "betti_plus", "complex_residual", "d0_minus",
-    "d0_plus", "delta", "delta_equals_analytic_d", "ker_d", "ker_d0", "ker_d0_flat",
-    "ker_d_dagger", "non_null_kernels", "non_null_minus", "non_null_plus",
+    "d0_plus", "delta", "delta_equals_analytic_d", "ker_d", "ker_d_dagger",
+    "non_null_kernels", "non_null_minus", "non_null_plus",
 ]
 FACTOR_KEYS = ["alpha", "eta1", "eta2", "l", "l_sharp"]
 FACTOR_CHECKS = ["factorization_h1", "factorization_h2"]

@@ -11,13 +11,12 @@ from pseudoherm.linalg import (
     as_matrix,
     eig,
     frobenius_norm,
-    kernel_basis,
     norm_lower_bound,
     rank,
     spectral_norm,
 )
 
-from support import well_conditioned
+from support import kernel_basis, well_conditioned
 
 
 class TestTolerance:

@@ -14,7 +14,6 @@ from pseudoherm.intertwine import canonical_factorization, self_factorization
 from pseudoherm.linalg import (
     DEFAULT_TOLERANCE,
     frobenius_norm,
-    kernel_basis,
     norm_lower_bound,
     rank,
 )
@@ -32,6 +31,7 @@ from pseudoherm.twolevel import TwoLevelParams, closed_form_system
 from support import (
     draw_spectrum,
     engineered_rank_map,
+    kernel_basis,
     match_value_multisets,
     matrix_with_spectrum,
     pair_pipeline,
@@ -412,12 +412,11 @@ class TestWittenCounts:
         k_sharp = np.linalg.qr(eta_m.inverse @ w)[0] if w.shape[1] else w
         z_plus = null_count(v_perp, eta_p.matrix)
         z_minus = null_count(k_sharp, eta_m.matrix)
-        assert wit.ker_d == wit.ker_d0 == cols - r
-        assert wit.ker_d_dagger == wit.ker_d0_flat == rows - r
+        assert wit.ker_d == cols - r
+        assert wit.ker_d_dagger == rows - r
         assert (wit.d0_plus, wit.d0_minus) == (cols - r + z_minus, rows - r + z_plus)
         assert (wit.betti_plus, wit.betti_minus) == (cols - r - z_plus, rows - r - z_minus)
-        dimensions = ("d0_plus", "d0_minus", "ker_d", "ker_d_dagger", "ker_d0",
-                      "ker_d0_flat", "betti_plus", "betti_minus")
+        dimensions = ("d0_plus", "d0_minus", "ker_d", "ker_d_dagger", "betti_plus", "betti_minus")
         assert min(getattr(wit, name) for name in dimensions) >= 0
         assert wit.delta == wit.betti_plus - wit.betti_minus == wit.d0_plus - wit.d0_minus
         assert wit.analytic_index_d == cols - rows
@@ -484,8 +483,8 @@ class TestWittenIndex:
         wit = witten_index(psys)
         z_plus, z_minus = int(null != "minus"), int(null != "plus")
         rank_d = 2 if null == "both" else 1
-        assert wit.ker_d == wit.ker_d0 == psys.dim_plus - rank_d
-        assert wit.ker_d_dagger == wit.ker_d0_flat == psys.dim_minus - rank_d
+        assert wit.ker_d == psys.dim_plus - rank_d
+        assert wit.ker_d_dagger == psys.dim_minus - rank_d
         assert (wit.d0_plus, wit.d0_minus) == (wit.ker_d + z_minus, wit.ker_d_dagger + z_plus)
         assert (wit.betti_plus, wit.betti_minus) == (wit.ker_d - z_plus, wit.ker_d_dagger - z_minus)
         assert (wit.non_null_plus, wit.non_null_minus) == (not z_plus, not z_minus)
