@@ -11,6 +11,7 @@ intertwiner to a factorization H1 = L# L, H2 = L L#.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .linalg import (
     norm_lower_bound,
 )
 from .metric import EtaOperator, SignAssignment, canonical_eta, pseudo_adjoint
-from .spectral import KIND_REAL, KIND_UPPER, BiorthonormalSystem
+from .spectral import KIND_REAL, KIND_UPPER, BiorthonormalSystem, _within
 
 __all__ = [
     "MatchedCluster",
@@ -113,13 +114,17 @@ def match_spectra(sys1: BiorthonormalSystem, sys2: BiorthonormalSystem) -> Spect
     unused nonzero cluster of the second within the shared tolerance (the
     later one on a tie). Raises NotIsospectral when a nonzero cluster is
     unmatched or multiplicities of matched nonzero clusters differ. Zero
-    clusters are exempt.
+    clusters are exempt. The shared tolerance is the larger exact cluster
+    width, max(sys1.cluster_tol, sys2.cluster_tol); each comparison with it
+    is decided from the systems' norm brackets first (`spectral._within`),
+    so an exact norm is formed only for a distance inside a bracket's band.
     """
-    mtol = max(sys1.cluster_tol, sys2.cluster_tol)
+    widths = (sys1.width, sys2.width)
+    reach = max(w.high for w in widths)
 
     def zero_index(sys: BiorthonormalSystem) -> int | None:
         for i, c in enumerate(sys.clusters):
-            if abs(c.value) <= mtol:
+            if _within(abs(c.value), *widths):
                 return i
         return None
 
@@ -127,9 +132,10 @@ def match_spectra(sys1: BiorthonormalSystem, sys2: BiorthonormalSystem) -> Spect
     nonzero1 = [i for i in range(len(sys1.clusters)) if i != zero1]
     nonzero2 = [i for i in range(len(sys2.clusters)) if i != zero2]
 
-    # |z - w| >= |Re z - Re w|, so every match within mtol lies in a window
-    # over the sorted real parts; the doubled width absorbs the rounding of
-    # the window's bounds, as in `spectral.cluster_eigenvalues`
+    # |z - w| >= |Re z - Re w|, so every match within the tolerance, at most
+    # `reach`, lies in a window over the sorted real parts; the doubled width
+    # absorbs the rounding of the window's bounds, as in
+    # `spectral.cluster_eigenvalues`
     by_re = sorted(nonzero2, key=lambda j: sys2.clusters[j].value.real)
     re2 = [sys2.clusters[j].value.real for j in by_re]
 
@@ -137,15 +143,15 @@ def match_spectra(sys1: BiorthonormalSystem, sys2: BiorthonormalSystem) -> Spect
     used: set[int] = set()
     for i in nonzero1:
         c1 = sys1.clusters[i]
-        best, best_dist = None, mtol
-        start = bisect_left(re2, c1.value.real - 2.0 * mtol)
-        stop = bisect_right(re2, c1.value.real + 2.0 * mtol)
+        best, best_dist = None, math.inf
+        start = bisect_left(re2, c1.value.real - 2.0 * reach)
+        stop = bisect_right(re2, c1.value.real + 2.0 * reach)
         # ascending index, as in a scan over all clusters: ties keep the later
         for j in sorted(by_re[start:stop]):
             if j in used:
                 continue
             dist = abs(c1.value - sys2.clusters[j].value)
-            if dist <= best_dist:
+            if dist <= best_dist and _within(dist, *widths):
                 best, best_dist = j, dist
         if best is None:
             raise NotIsospectral(
@@ -258,9 +264,10 @@ def canonical_factorization(
     the systems' own `h`, not psi diag(E) phi^H, each formed in place in
     the product it starts from; L# is formed once for both and not kept
     (`Factorization.lsharp` forms it again). Their threshold is
-    rtol * (1 + max ||H||) * cond(psi1) * cond(psi2), each condition number
-    taken as the lower bound `_cond_lower_bound`, so it is never looser than
-    with exact ones.
+    rtol * (1 + max ||H||) * cond(psi1) * cond(psi2), each ||H|| taken as
+    the lower end of its system's norm bracket and each condition number as
+    the lower bound `_cond_lower_bound`, so it is never looser than with
+    exact ones.
     """
     # the metrics raise NotPseudoHermitian for an unpairable spectrum, so
     # that comes before any NotIsospectral from the matching
@@ -273,7 +280,7 @@ def canonical_factorization(
 
     cond1 = _cond_lower_bound(sys1)
     cond2 = cond1 if sys2 is sys1 else _cond_lower_bound(sys2)
-    threshold = tol.rtol * (1.0 + max(sys1.scale, sys2.scale)) * cond1 * cond2
+    threshold = tol.rtol * (1.0 + max(sys1.width.lo, sys2.width.lo)) * cond1 * cond2
     return Factorization(
         intertwiner=intertwiner,
         eta1=eta1,

@@ -7,14 +7,14 @@ single policy governs the whole library.
 Norms have three roles. A residual value is a Frobenius norm
 (`frobenius_norm`), never smaller than the 2-norm, so a check can only be
 stricter than its 2-norm form. A threshold scale is `norm_lower_bound`, never
-larger than the 2-norm, so a threshold is never looser. The clustering scale
-||H|| is an exact 2-norm (`spectral_norm`): a bound would change which
-clusters merge. Two more decisions compare against exact norms, cond(psi)
-against `cond_max` and the null-kernel cutoff atol * ||eta||; each first
-tries a one-sided certificate from matrices already held (`certified_inverse`
-bounds the smallest singular value from below, ||eta||_F bounds ||eta||_2
-from above), and the exact SVD (`cond`, `spectral_norm`) runs only when the
-certificate cannot decide, so every outcome is the one the SVD gives. Every
+larger than the 2-norm, so a threshold is never looser. Three decisions
+compare against exact norms: the clustering width max(atol, rtol * ||H||),
+cond(psi) against `cond_max`, and the null-kernel cutoff atol * ||eta||.
+Each first tries one-sided bounds from what is already held (||H|| lies
+between a `norm_lower_bound` and ||H||_F, `certified_inverse` bounds the
+smallest singular value from below, ||eta||_F bounds ||eta||_2 from above),
+and the exact SVD (`spectral_norm`, `cond`) runs only when the bounds
+cannot decide, so every outcome is the one the SVD gives. Every
 rank and kernel decision shares one cutoff (`rank`, `singular_system`). For a
 square matrix of known singular values and rank, `kernels_from_solves` finds
 bases of both kernels from two LU solves with a bound on their angle to the
@@ -57,8 +57,11 @@ class Tolerance:
 
     rtol/atol feed the singular-value cutoff max(atol, max(m, n) * rtol * s_max)
     used for rank and kernel decisions; cond_max bounds the eigenvector-matrix
-    condition number accepted as "diagonalizable". Both s_max and the
-    clustering scale are exact 2-norms; the residual thresholds built from
+    condition number accepted as "diagonalizable". s_max is an exact
+    2-norm. The clustering width max(atol, rtol * ||H||) is the exact
+    2-norm's in every outcome, but `decompose` compares against it through
+    a bracket on ||H|| (`spectral.ClusterWidth`), and forms the exact norm
+    only when the bracket cannot decide. The residual thresholds built from
     rtol/atol elsewhere take their scales from `norm_lower_bound`.
     """
 

@@ -11,6 +11,7 @@ linked when they exist with equal multiplicity.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import NonDiagonalizable
 from .linalg import (
     _EPS,
+    _EXACT_BELOW,
     DEFAULT_TOLERANCE,
     ResidualCheck,
     Tolerance,
@@ -29,6 +31,8 @@ from .linalg import (
     certified_inverse,
     cond,
     eig,
+    frobenius_norm,
+    norm_lower_bound,
     rank,
     spectral_norm,
 )
@@ -42,6 +46,7 @@ __all__ = [
     "TAG_MIXED",
     "TAG_UNPAIRABLE",
     "EigenCluster",
+    "ClusterWidth",
     "BiorthonormalSystem",
     "SpectrumClass",
     "cluster_eigenvalues",
@@ -80,11 +85,60 @@ class EigenCluster:
 
 
 @dataclass(frozen=True, eq=False)
+class ClusterWidth:
+    """The clustering width w(s) = tol.cluster_tol(s) at s = ||h||_2, for a
+    matrix `h` whose 2-norm is known to lie in [lo, hi].
+
+    `low` and `high` are w(lo) and w(hi). `scale`, the exact ||h||_2 (one
+    SVD unless lo == hi), and `value`, w(scale), are formed on first access;
+    a decision q <= w needs them only when q lies in [low, high] (`_within`).
+    """
+
+    h: np.ndarray
+    tol: Tolerance
+    lo: float
+    hi: float
+
+    @cached_property
+    def low(self) -> float:
+        return self.tol.cluster_tol(self.lo)
+
+    @cached_property
+    def high(self) -> float:
+        return self.tol.cluster_tol(self.hi)
+
+    @cached_property
+    def scale(self) -> float:
+        return self.lo if self.lo == self.hi else spectral_norm(self.h)
+
+    @cached_property
+    def value(self) -> float:
+        return self.tol.cluster_tol(self.scale)
+
+
+def _within(q: float, *widths: ClusterWidth) -> bool:
+    """q <= the largest exact width of `widths`, deciding from the brackets
+    first: w is nondecreasing, so q <= w(lo) settles it for one width and
+    q > w(hi) rules one out. Only a width whose band [w(lo), w(hi)] holds q
+    forms its exact norm. Loops, not generators: it runs once per compared
+    quantity."""
+    for w in widths:
+        if q <= w.low:
+            return True
+    for w in widths:
+        if q <= w.high and q <= w.value:
+            return True
+    return False
+
+
+@dataclass(frozen=True, eq=False)
 class BiorthonormalSystem:
     """Eigenvalue clusters of the matrix `h` plus the paired eigenvector
     matrices psi and phi, all three held as read-only views.
 
-    `scale` is the 2-norm of `h`. `psi_cond` is the exact cond(psi),
+    `width` carries the bracket lo <= ||h||_2 <= hi the clusters were
+    formed with. `scale` (the exact 2-norm of `h`), `cluster_tol` (the
+    exact clustering width) and `psi_cond` (the exact cond(psi)) are
     computed on first access.
     """
 
@@ -92,8 +146,7 @@ class BiorthonormalSystem:
     clusters: tuple[EigenCluster, ...]
     psi: np.ndarray
     phi: np.ndarray
-    scale: float
-    cluster_tol: float
+    width: ClusterWidth
 
     def __post_init__(self) -> None:
         _store_read_only(self, h=self.h, psi=self.psi, phi=self.phi)
@@ -101,6 +154,14 @@ class BiorthonormalSystem:
     @cached_property
     def psi_cond(self) -> float:
         return cond(self.psi)
+
+    @property
+    def scale(self) -> float:
+        return self.width.scale
+
+    @property
+    def cluster_tol(self) -> float:
+        return self.width.value
 
     @property
     def dim(self) -> int:
@@ -135,7 +196,7 @@ class BiorthonormalSystem:
         )
 
     def is_zero_cluster(self, index: int) -> bool:
-        return abs(self.clusters[index].value) <= self.cluster_tol
+        return _within(abs(self.clusters[index].value), self.width)
 
 
 @dataclass(frozen=True)
@@ -159,9 +220,13 @@ def _near_pairs(values: np.ndarray, ctol: float) -> Iterator[tuple[int, int]]:
 
 
 def cluster_eigenvalues(
-    values: np.ndarray, ctol: float
+    values: np.ndarray, ctol: float | ClusterWidth
 ) -> tuple[tuple[EigenCluster, ...], list[int]]:
     """Cluster `values` within `ctol` (transitively) and lay them out as columns.
+
+    `ctol` is a width, or a `ClusterWidth`, whose every comparison q <= ctol
+    `_within` decides: the outcomes are those of the exact width, and the
+    exact norm is formed only when a compared quantity falls in its band.
 
     A cluster's value is the mean of its members. Conjugate partners link
     only at equal multiplicity: each PairUpper, in order of its first member,
@@ -176,6 +241,12 @@ def cluster_eigenvalues(
     clusters one by one, so eigenvector columns reordered the same way line
     up with each cluster's `cols`.
     """
+    bracketed = isinstance(ctol, ClusterWidth)
+    reach = ctol.high if bracketed else ctol  # the widest the width can be
+
+    def covers(q: float) -> bool:
+        return _within(q, ctol) if bracketed else q <= ctol
+
     values = np.asarray(values, dtype=complex)
     z = values.tolist()
     parent = list(range(len(z)))
@@ -186,8 +257,8 @@ def cluster_eigenvalues(
             i = parent[i]
         return i
 
-    for i, j in _near_pairs(values, ctol):
-        if abs(z[i] - z[j]) <= ctol:
+    for i, j in _near_pairs(values, reach):
+        if covers(abs(z[i] - z[j])):
             parent[find(i)] = find(j)
     by_root: dict[int, list[int]] = {}
     for i in range(len(z)):
@@ -195,12 +266,12 @@ def cluster_eigenvalues(
     members = list(by_root.values())  # ascending indices, by first member
     means = [complex(values[m].mean()) for m in members]
     kinds = [
-        KIND_REAL if abs(v.imag) <= ctol else KIND_UPPER if v.imag > 0 else KIND_LOWER
+        KIND_REAL if covers(abs(v.imag)) else KIND_UPPER if v.imag > 0 else KIND_LOWER
         for v in means
     ]
 
     candidates: dict[int, list[int]] = {}
-    for up, low in _near_pairs(np.array(means), ctol):
+    for up, low in _near_pairs(np.array(means), reach):
         if kinds[low] == KIND_UPPER:
             up, low = low, up
         same_size = len(members[up]) == len(members[low])
@@ -208,10 +279,10 @@ def cluster_eigenvalues(
             candidates.setdefault(up, []).append(low)
     partner: list[int | None] = [None] * len(members)
     for up in sorted(candidates):
-        best, best_dist = None, ctol
+        best, best_dist = None, math.inf
         for low in sorted(candidates[up]):
             dist = abs(means[up].conjugate() - means[low])
-            if partner[low] is None and dist <= best_dist:
+            if partner[low] is None and dist <= best_dist and covers(dist):
                 best, best_dist = low, dist
         if best is not None:
             partner[up], partner[best] = best, up
@@ -226,7 +297,7 @@ def cluster_eigenvalues(
             units.append((v.real, v.imag, 0.0, g))
     units.sort()
     # a run of real parts, each within ctol of the last, goes by |imaginary|
-    cuts = [k for k in range(1, len(units)) if units[k][0] - units[k - 1][0] > ctol]
+    cuts = [k for k in range(1, len(units)) if not covers(units[k][0] - units[k - 1][0])]
     for a, b in zip([0] + cuts, cuts + [len(units)]):
         if b - a > 1:
             units[a:b] = sorted(units[a:b], key=lambda u: (u[1], u[2], u[0], u[3]))
@@ -252,22 +323,23 @@ def _eigenvectors_certified(
     h: np.ndarray,
     psi: np.ndarray,
     degenerate: list[EigenCluster],
-    scale: float,
+    lo: float,
+    hi: float,
     atols: np.ndarray,
     tol: Tolerance,
 ) -> np.ndarray:
     """Per cluster of `degenerate`, True when its columns V of psi prove
     n - rank(h - value*I, shifted) >= multiplicity, where `shifted` is `tol`
-    with atol widened to the cluster's entry of `atols`, as in `decompose`.
+    with atol widened to at least the cluster's entry of `atols`.
 
-    `scale` is ||H||_2. With R = H V - value V, Courant-Fischer bounds mu
+    lo <= ||H||_2 <= hi. With R = H V - value V, Courant-Fischer bounds mu
     singular values of H - value I by ||R||_F / sigma_min(V). rank's cutoff
-    is at least c_low = shifted.svd_cutoff((n, n), ||H|| - |value|), as
-    sigma_max(H - value I) >= ||H|| - |value|. The bound is taken with the
-    rounding of R and sigma_min(V) added, so nearly parallel columns cannot
-    certify on noise; together with the SVD's own rounding
-    (n eps ||H - value I||) it must stay within c_low / 2, and the other half
-    absorbs the rounding of the cutoff itself.
+    is at least c_low = shifted.svd_cutoff((n, n), lo - |value|), as
+    sigma_max(H - value I) >= ||H|| - |value|; the rounding terms take hi.
+    The bound is taken with the rounding of R and sigma_min(V) added, so
+    nearly parallel columns cannot certify on noise; together with the
+    SVD's own rounding (n eps ||H - value I||) it must stay within c_low / 2,
+    and the other half absorbs the rounding of the cutoff itself.
 
     One product H B - B diag(values) covers the columns B of every cluster,
     and each cluster's Frobenius norms are sums over its column range.
@@ -295,12 +367,39 @@ def _eigenvectors_certified(
         gram_min[which] = np.linalg.eigvalsh(gram)[:, 0]
     smin = np.sqrt(np.maximum(gram_min - 2.0 * (n + mults + 2) * _EPS * vnorm**2, 0.0))
     size = np.abs(values)
-    resid += n * _EPS * (np.sqrt(n) * scale + size) * vnorm
-    svd_rounding = n * _EPS * (scale + size)
-    c_low = np.maximum(atols, n * tol.rtol * np.maximum(scale - size, 0.0))
+    resid += n * _EPS * (np.sqrt(n) * hi + size) * vnorm
+    svd_rounding = n * _EPS * (hi + size)
+    c_low = np.maximum(atols, n * tol.rtol * np.maximum(lo - size, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):  # smin = 0 fails below
         bound = resid / smin + svd_rounding
     return (smin > 0.0) & (bound <= 0.5 * c_low)
+
+
+def _norm_bracket(
+    h: np.ndarray, values: np.ndarray, vectors: np.ndarray
+) -> tuple[float, float]:
+    """lo <= ||h||_2 <= hi for ||h||_2 as an SVD computes it.
+
+    lo is the larger of `norm_lower_bound(h)` and ||h v|| / ||v|| for the
+    eigenvector v of the largest |lambda| (which is about |lambda|, but free
+    of eig's backward error, which balancing can scale beyond ||h||); hi is
+    ||h||_F (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 6). Each end moves out by (n + 2)^2 eps ||h||_F, which covers the
+    rounding of the products h x and of ||h||_F, and the SVD's own
+    n eps ||h||. Both ends are the exact norm below _EXACT_BELOW, where one
+    SVD is cheaper than the bounds, or when an end is not finite.
+    """
+    n = h.shape[0]
+    if n >= _EXACT_BELOW:
+        fro = frobenius_norm(h)
+        v = vectors[:, np.argmax(np.abs(values))]
+        slack = (n + 2) ** 2 * _EPS * fro
+        lo = max(norm_lower_bound(h), frobenius_norm(h @ v) / frobenius_norm(v)) - slack
+        hi = fro + slack
+        if math.isfinite(lo) and math.isfinite(hi):
+            return max(lo, 0.0), hi
+    exact = spectral_norm(h)
+    return exact, exact
 
 
 def _cond_checked_inverse(psi: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -330,6 +429,15 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     cluster. phi is derived as (psi^-1)^H so both completeness relations hold
     by construction.
 
+    ||H|| is the exact 2-norm in every outcome, but takes no SVD unless it
+    must: `_norm_bracket` bounds it between lo and hi from the eigenvector
+    of the largest |lambda|, a power iteration and ||H||_F, and each
+    comparison with the width (merges, kinds, partner links, the column
+    order's runs) is decided by w(lo) and w(hi) unless the compared
+    quantity lies between them, where the exact norm (one SVD, formed once,
+    held by the system's `width`) decides. The eigenvector certificate
+    below takes lo for its cutoff and hi for its rounding terms.
+
     Raises NonDiagonalizable when cond(psi) exceeds tol.cond_max or a
     degenerate cluster has too few independent eigenvectors. The inverse that
     gives phi also certifies cond(psi) <= cond_max (`certified_inverse`);
@@ -348,22 +456,24 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
     """
     h = as_matrix(h, square=True)
     values, vectors = eig(h)
-    scale = spectral_norm(h)
-    ctol = tol.cluster_tol(scale)
+    width = ClusterWidth(h, tol, *_norm_bracket(h, values, vectors))
 
-    clusters, order = cluster_eigenvalues(values, ctol)
+    clusters, order = cluster_eigenvalues(values, width)
     psi = vectors[:, order]
     inverse = _cond_checked_inverse(psi, tol)
     n = h.shape[0]
     degenerate = [c for c in clusters if c.multiplicity > 1]
-    # clusters may span up to multiplicity * ctol after transitive merging
-    atols = np.maximum(tol.atol, 2.0 * np.array([c.multiplicity for c in degenerate]) * ctol)
-    certified = _eigenvectors_certified(h, psi, degenerate, scale, atols, tol)
-    for c, ok, atol in zip(degenerate, certified, atols):
+    # clusters may span up to multiplicity * ctol after transitive merging;
+    # the certificate takes the lowest ctol can be, the rank fallback the exact one
+    mults = np.array([c.multiplicity for c in degenerate])
+    atols = np.maximum(tol.atol, 2.0 * mults * width.low)
+    certified = _eigenvectors_certified(h, psi, degenerate, width.lo, width.hi, atols, tol)
+    for c, ok in zip(degenerate, certified):
         if ok:
             continue
         # n - rank is the dimension of the numerical kernel
-        geometric = n - rank(h - c.value * np.eye(n), dataclasses.replace(tol, atol=float(atol)))
+        atol = max(tol.atol, 2.0 * c.multiplicity * width.value)
+        geometric = n - rank(h - c.value * np.eye(n), dataclasses.replace(tol, atol=atol))
         if geometric < c.multiplicity:
             raise NonDiagonalizable(
                 f"eigenvalue {c.value:.6g}: geometric multiplicity {geometric} "
@@ -375,8 +485,7 @@ def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:
         clusters=clusters,
         psi=psi,
         phi=inverse.conj().T,
-        scale=scale,
-        cluster_tol=ctol,
+        width=width,
     )
 
 

@@ -30,6 +30,7 @@ from .linalg import (
 from .spectral import (
     TAG_UNPAIRABLE,
     BiorthonormalSystem,
+    ClusterWidth,
     classify_spectrum,
     cluster_eigenvalues,
 )
@@ -164,15 +165,15 @@ def closed_form_system(
     """
     psi1, psi2, phi1, phi2 = _vectors(params)
     values = np.array([-params.e, params.e])
-    ctol = tol.cluster_tol(params.scale)
-    clusters, order = cluster_eigenvalues(values, ctol)
+    h = params.source_matrix()
+    width = ClusterWidth(h, tol, params.scale, params.scale)
+    clusters, order = cluster_eigenvalues(values, width)
     return BiorthonormalSystem(
-        h=params.source_matrix(),
+        h=h,
         clusters=clusters,
         psi=np.column_stack([psi1, psi2])[:, order],
         phi=np.column_stack([phi1, phi2])[:, order],
-        scale=params.scale,
-        cluster_tol=ctol,
+        width=width,
     )
 
 

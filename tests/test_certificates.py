@@ -29,7 +29,7 @@ from pseudoherm.linalg import (
     singular_values,
 )
 from pseudoherm.metric import EtaOperator
-from pseudoherm.spectral import _cond_checked_inverse, decompose
+from pseudoherm.spectral import _cond_checked_inverse, cluster_eigenvalues, decompose
 from pseudoherm.susy import (
     _ANGLE_MAX,
     _non_null,
@@ -45,6 +45,7 @@ from support import (
     pair_pipeline,
     random_metric,
     random_unitary,
+    well_conditioned,
 )
 
 def with_singular_values(s, rng):
@@ -235,7 +236,7 @@ def spy(monkeypatch, module, name):
 
 
 class TestCounts:
-    def test_simple_pair_runs_three_singular_value_svds(self, monkeypatch):
+    def test_simple_pair_runs_one_singular_value_svd(self, monkeypatch):
         rng = np.random.default_rng(64)
         values = draw_spectrum(rng, 64, allow_degenerate=False)
         h1 = matrix_with_spectrum(values, rng)
@@ -244,7 +245,8 @@ class TestCounts:
         systems = spy(monkeypatch, susy, "singular_system")
         wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.delta) == (0, 0, 0)
-        assert calls == [False, False, False]  # two ||H||, one of D's singular values
+        # D's singular values; decompose's norm brackets decide every cluster
+        assert calls == [False]
         assert systems == []
 
     def test_pair_with_a_zero_cluster_takes_no_svd_with_vectors(self, monkeypatch):
@@ -257,10 +259,43 @@ class TestCounts:
         wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.ker_d, wit.ker_d_dagger) == (1, 1, 1, 1)
         assert (wit.betti_plus, wit.betti_minus) == (1, 1)
-        # two ||H|| and D's singular values; the kernels of D and D^H come
-        # from two LU solves, so no SVD with vectors and no n x n SVD of H+-
-        assert calls == [False, False, False]
+        # D's singular values; the kernels of D and D^H come from two LU
+        # solves, so no SVD with vectors and no n x n SVD of H+-
+        assert calls == [False]
         assert systems == []
+
+    @pytest.mark.parametrize("merged", [True, False])
+    def test_a_gap_inside_the_band_takes_one_svd(self, merged, monkeypatch):
+        # 62 simple eigenvalues and a gap g at 3.5 between w(lo) and w(hi),
+        # the widths at the ends of decompose's norm bracket: only the exact
+        # ||H|| can decide the merge, so it takes exactly that one SVD. g lies
+        # just below the exact width (the pair merges) or at twice it (it
+        # does not)
+        rng = np.random.default_rng(11)
+        base = draw_spectrum(rng, 62, allow_degenerate=False)
+        v = well_conditioned(64, rng)
+
+        def with_gap(gap):
+            values = np.array(base + [3.5, 3.5 + gap], dtype=complex)
+            return v @ np.diag(values) @ np.linalg.inv(v)
+
+        h = with_gap(0.0)
+        values, vectors = np.linalg.eig(h)
+        lo, _ = spectral._norm_bracket(h, values, vectors)
+        exact = DEFAULT_TOLERANCE.cluster_tol(np.linalg.norm(h, 2))
+        low = DEFAULT_TOLERANCE.cluster_tol(lo)
+        h = with_gap(0.5 * (low + exact) if merged else 2.0 * exact)
+        calls = svd_counter(monkeypatch)
+        sys_ = decompose(h)
+        assert calls == [False]
+        values, vectors = np.linalg.eig(h)
+        top = np.sort_complex(values)[-2:]
+        assert sys_.width.low < abs(top[1] - top[0]) < sys_.width.high
+        exact = DEFAULT_TOLERANCE.cluster_tol(np.linalg.norm(h, 2))
+        clusters, order = cluster_eigenvalues(values, exact)
+        assert sys_.clusters == clusters
+        assert np.array_equal(sys_.psi, vectors[:, order])
+        assert max(c.multiplicity for c in clusters) == (2 if merged else 1)
 
     @pytest.mark.parametrize("n", [2, 7, 16, 31])
     def test_small_self_factorization_takes_two_svds(self, n, monkeypatch):

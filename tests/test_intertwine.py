@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.errors import NotIsospectral, NotPseudoHermitian
+from pseudoherm.linalg import Tolerance
 from pseudoherm.intertwine import (
     Factorization,
     build_L,
@@ -17,6 +18,7 @@ from pseudoherm.spectral import (
     KIND_LOWER,
     KIND_REAL,
     KIND_UPPER,
+    ClusterWidth,
     EigenCluster,
     decompose,
 )
@@ -384,14 +386,16 @@ def assert_matches_reference(sys1, sys2):
 
 def grid_system(values, ctol):
     """A system whose clusters carry exactly the given values (simple, in the
-    given order) on the identity's eigensystem; only clusters and
-    cluster_tol are read by the matcher."""
+    given order) on the identity's eigensystem; only clusters and the
+    cluster width are read by the matcher. ||I||_2 = 1, so rtol = atol =
+    ctol gives the width ctol."""
     clusters = []
     for k, v in enumerate(values):
         kind = KIND_REAL if v.imag == 0 else KIND_UPPER if v.imag > 0 else KIND_LOWER
         clusters.append(EigenCluster(complex(v), 1, kind, k))
     identity = decompose(np.eye(len(values), dtype=complex))
-    return replace(identity, clusters=tuple(clusters), cluster_tol=ctol)
+    width = ClusterWidth(identity.h, Tolerance(rtol=ctol, atol=ctol), 1.0, 1.0)
+    return replace(identity, clusters=tuple(clusters), width=width)
 
 
 class TestMatchSpectraWindow:
@@ -414,6 +418,16 @@ class TestMatchSpectraWindow:
             sys2 = grid_system(grid[1] * step + 1j * imag[rng.permutation(size)], ctol)
             matched += assert_matches_reference(sys1, sys2) is not None
         assert matched > 10
+
+    def test_shared_tolerance_is_the_larger_width(self):
+        # 1 and 1 + 1.5 ctol match only within 2 ctol, whichever system's
+        # width that is
+        ctol = 2.0**-10
+        for widths in ((ctol, 2 * ctol), (2 * ctol, ctol)):
+            sys1 = grid_system([1.0, 3.0], widths[0])
+            sys2 = grid_system([1.0 + 1.5 * ctol, 3.0], widths[1])
+            expected = [(0, 0, 1, 1.0, False), (1, 1, 1, 3.0, False)]
+            assert assert_matches_reference(sys1, sys2) == expected
 
     def test_tie_goes_to_the_later_cluster(self):
         ctol = 2.0**-10

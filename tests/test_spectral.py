@@ -308,7 +308,7 @@ class TestEigenvectorCertificate:
         clusters, order = cluster_eigenvalues(values, ctol)
         degenerate = [c for c in clusters if c.multiplicity > 1]
         certified = spectral._eigenvectors_certified(
-            h, vectors[:, order], degenerate, scale, ctol, tol
+            h, vectors[:, order], degenerate, scale, scale, ctol, tol
         )
         for c, ok in zip(degenerate, certified):
             if ok:
@@ -355,17 +355,22 @@ class TestClusterEigenvalues:
     def test_matches_reference_on_benchmark_pairs(
         self, monkeypatch, bench_inputs, workload, seed
     ):
+        # decompose clusters within its norm bracket; the reference takes the
+        # exact width, and both must agree bit for bit
         seen = []
 
-        def recorded(values, ctol):
-            seen.append((values, ctol))
-            return cluster_eigenvalues(values, ctol)
+        def recorded(values, width):
+            result = cluster_eigenvalues(values, width)
+            seen.append((values, width, result))
+            return result
 
         monkeypatch.setattr(spectral, "cluster_eigenvalues", recorded)
         for drawn in bench_inputs.pair_inputs(workload, seed):
             decompose(drawn.h)
-            values, ctol = seen.pop()
-            clusters, _ = assert_matches_reference(values, ctol)
+            values, width, result = seen.pop()
+            expected = assert_matches_reference(values, width.value)
+            assert _exact(result) == _exact(expected)
+            clusters, _ = result
             drawn_mults = sorted(m for _, m in drawn.spectrum.clusters)
             assert sorted(c.multiplicity for c in clusters) == drawn_mults
 
