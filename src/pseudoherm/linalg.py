@@ -44,6 +44,9 @@ __all__ = [
     "cond",
     "certified_inverse",
     "eig",
+    "eigh",
+    "eigvalsh",
+    "inv",
     "singular_values",
     "rank",
     "singular_system",
@@ -277,6 +280,23 @@ def eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     return values, vectors
+
+
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a
+    Hermitian matrix, read from its lower triangle."""
+    return np.linalg.eigh(m)
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack, read from the lower triangle."""
+    return np.linalg.eigvalsh(m)
+
+
+def inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix the caller has shown to be invertible."""
+    return np.linalg.inv(m)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

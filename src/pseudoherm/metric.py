@@ -7,6 +7,8 @@ come from the psi family directly (eta^-1 = psi B^-1 psi^H), which is
 structurally exact, instead of a numerical inversion. The canonical B (a
 sign per real eigenvector, a unit swap across each pair) is a signed
 involutive permutation, B^-1 = B, applied to the columns of phi and psi.
+A canonical metric keeps only eta: eta^-1 = (psi[:, p] s) psi^H is formed
+anew on each access from psi, p and s (`CanonicalInverse`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .linalg import (
     _store_read_only,
     as_matrix,
     frobenius_norm,
+    inv,
     norm_lower_bound,
     singular_values,
     spectral_norm,
@@ -39,6 +42,7 @@ from .spectral import (
 
 __all__ = [
     "SignAssignment",
+    "CanonicalInverse",
     "EtaOperator",
     "AntilinearOperator",
     "pseudo_adjoint",
@@ -111,18 +115,86 @@ def _validate_block(m: np.ndarray, tol: Tolerance, what: str, hermitian: bool) -
 
 
 @dataclass(frozen=True, eq=False)
-class EtaOperator:
-    """Hermitian invertible metric and its inverse, as read-only views."""
+class CanonicalInverse:
+    """eta^-1 = (psi[:, p] s) psi^H of a canonical metric, held through psi,
+    its signed involutive column permutation (p, s) and nothing else, as
+    read-only views.
 
-    matrix: np.ndarray
-    inverse: np.ndarray
+    `dense` forms it as conj(conj(psi[:, p] s) psi^T), conjugating the
+    permuted copy and the product in place, so no conjugate copy of psi is
+    made. Moving the conjugation leaves every nonzero entry as
+    (psi[:, p] * s) @ psi.conj().T gives it, and adding 0.0 turns each -0.0
+    into the +0.0 that product gives on the eigenvectors `decompose`
+    returns, so the two agree bit for bit there. Where psi itself carries
+    -0.0 entries (`twolevel.closed_form_system` of coefficients such as
+    -1j), a zero the direct product gives as -0.0 comes out +0.0.
+    """
+
+    psi: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_read_only(self, matrix=self.matrix, inverse=self.inverse)
+        _store_read_only(self, psi=self.psi, p=self.p, s=self.s)
+
+    def conj_dense(self) -> np.ndarray:
+        """conj(eta^-1) as a fresh writeable array, but for the signs of its
+        zeros."""
+        x = self.psi[:, self.p]
+        x *= self.s
+        np.conjugate(x, out=x)
+        return x @ self.psi.T
+
+    def dense(self) -> np.ndarray:
+        """eta^-1 as a fresh writeable array."""
+        r = self.conj_dense()
+        np.conjugate(r, out=r)
+        r += 0.0
+        return r
+
+
+@dataclass(frozen=True, eq=False)
+class EtaOperator:
+    """Hermitian invertible metric, as a read-only view, and the form its
+    inverse is held in.
+
+    `inverse_form` is either eta^-1 itself, a dense array held as a read-only
+    view (an explicit pair: `from_matrix`, `identity`, `eta_from_M`, or one
+    a caller builds), or, for a canonical metric, its `CanonicalInverse`,
+    which holds no n x n array of its own. `inverse` is eta^-1 either way:
+    the held array, or a fresh read-only array formed on each access (see
+    `CanonicalInverse.dense`). A canonical metric thus keeps one n x n
+    array, eta, instead of two.
+    """
+
+    matrix: np.ndarray
+    inverse_form: np.ndarray | CanonicalInverse
+
+    def __post_init__(self) -> None:
+        _store_read_only(self, matrix=self.matrix)
+        if not isinstance(self.inverse_form, CanonicalInverse):
+            _store_read_only(self, inverse_form=self.inverse_form)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """eta^-1 (read-only): the held array, or formed anew on each access
+        from a `CanonicalInverse`."""
+        form = self.inverse_form
+        if not isinstance(form, CanonicalInverse):
+            return form
+        inverse = form.dense()
+        inverse.flags.writeable = False
+        return inverse
+
+    def _conj_inverse(self) -> np.ndarray:
+        """conj(eta^-1) as a fresh writeable array, but for the signs of its
+        zeros."""
+        form = self.inverse_form
+        return form.conj_dense() if isinstance(form, CanonicalInverse) else np.conj(form)
 
     @cached_property
     def norm(self) -> float:
@@ -133,18 +205,18 @@ class EtaOperator:
     @classmethod
     def identity(cls, n: int) -> "EtaOperator":
         eye = np.eye(n, dtype=complex)
-        return cls(matrix=eye, inverse=eye)
+        return cls(matrix=eye, inverse_form=eye)
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "EtaOperator":
         """Validate an explicit metric matrix and invert it numerically.
 
         `_validate_block` tests Hermiticity, then invertibility, from one SVD.
-        The metric holds its own copy of m.
+        The metric holds its own copy of m and its inverse.
         """
         m = as_matrix(m, square=True).copy()
         _validate_block(m, tol, "metric", hermitian=True)
-        return cls(matrix=m, inverse=np.linalg.inv(m))
+        return cls(matrix=m, inverse_form=inv(m))
 
 
 @dataclass(frozen=True)
@@ -168,14 +240,22 @@ class AntilinearOperator:
 def pseudo_adjoint(
     a: np.ndarray, eta_plus: EtaOperator, eta_minus: EtaOperator
 ) -> np.ndarray:
-    """eta_plus^-1 A^H eta_minus for A mapping the plus into the minus space."""
+    """eta_plus^-1 A^H eta_minus for A mapping the plus into the minus space,
+    as a fresh writeable array; no conjugate copy of A is made."""
     a = as_matrix(a)
     if a.shape != (eta_minus.dim, eta_plus.dim):
         raise ValueError(
             f"map of shape {a.shape} does not fit metrics of dims "
             f"{eta_plus.dim} -> {eta_minus.dim}"
         )
-    return eta_plus.inverse @ a.conj().T @ eta_minus.matrix
+    # eta_plus^-1 A^H = conj(conj(eta_plus^-1) A^T), conjugated in place, and
+    # adding 0.0 gives its zeros the sign +0.0: bit for bit
+    # eta_plus.inverse @ a.conj().T @ eta_minus.matrix, as in
+    # `CanonicalInverse.dense`
+    t = eta_plus._conj_inverse() @ a.T
+    np.conjugate(t, out=t)
+    t += 0.0
+    return t @ eta_minus.matrix
 
 
 def _pair_needs_system(sys: BiorthonormalSystem) -> None:
@@ -212,10 +292,10 @@ def _assemble(
     for i, m in zip(sys.real_cluster_indices(), real_blocks):
         c = sys.clusters[i].cols
         b[c, c] = m
-        b_inv[c, c] = np.linalg.inv(m)
+        b_inv[c, c] = inv(m)
     for (upper, lower), m in zip(sys.pair_groups(), pair_blocks):
         u, w = sys.clusters[upper].cols, sys.clusters[lower].cols
-        m_inv = np.linalg.inv(m)
+        m_inv = inv(m)
         b[u, w] = m
         b[w, u] = m.conj().T
         b_inv[w, u] = m_inv
@@ -229,7 +309,8 @@ def canonical_eta(
     """Metric with signs on real eigenvectors and unit swaps across pairs.
 
     B is the signed involutive permutation (p, s), so B^-1 = B and
-    eta = (phi[:, p] s) phi^H, eta^-1 = (psi[:, p] s) psi^H. All signs +1 on
+    eta = (phi[:, p] s) phi^H, formed here, and eta^-1 = (psi[:, p] s) psi^H,
+    held as its `CanonicalInverse` and formed on each access. All signs +1 on
     a Hermitian input give the identity. The 2^(number of real eigenvectors)
     sign choices exhaust the canonical family. ValueError unless `signs` were
     drawn for clusters of the same kinds and multiplicities as sys's.
@@ -244,7 +325,7 @@ def canonical_eta(
     s[_real_columns(sys.clusters)] = signs.flat
     return EtaOperator(
         matrix=(sys.phi[:, p] * s) @ sys.phi.conj().T,
-        inverse=(sys.psi[:, p] * s) @ sys.psi.conj().T,
+        inverse_form=CanonicalInverse(sys.psi, p, s),
     )
 
 
@@ -278,7 +359,7 @@ def eta_from_M(
             raise ValueError(f"block of shape {m.shape} does not fit cluster size {size}")
         _validate_block(m, tol, what, hermitian)
     eta, eta_inv = _assemble(sys, real_blocks, pair_blocks)
-    return EtaOperator(matrix=eta, inverse=eta_inv)
+    return EtaOperator(matrix=eta, inverse_form=eta_inv)
 
 
 def verify_pseudo_hermiticity(
@@ -289,12 +370,13 @@ def verify_pseudo_hermiticity(
 
     The residual is formed in place as conj(eta H eta^-1) - H^T, the
     entrywise conjugate of the same difference, so no conjugate copy of H is
-    made and the norm is the same.
+    made and the norm is the same. eta^-1 is read once, for both uses.
     """
     h = as_matrix(h, square=True)
     if h.shape[0] != eta.dim:
         raise ValueError("matrix and metric dimensions differ")
-    r = eta.matrix @ h @ eta.inverse
+    eta_inv = eta.inverse
+    r = eta.matrix @ h @ eta_inv
     np.conjugate(r, out=r)
     r -= h.T
     value = frobenius_norm(r)
@@ -302,7 +384,7 @@ def verify_pseudo_hermiticity(
         tol.rtol
         * (1.0 + norm_lower_bound(h))
         * norm_lower_bound(eta.matrix)
-        * norm_lower_bound(eta.inverse)
+        * norm_lower_bound(eta_inv)
     )
     return ResidualCheck("pseudo_hermiticity", value, threshold)
 

@@ -31,7 +31,9 @@ from .linalg import (
     certified_inverse,
     cond,
     eig,
+    eigvalsh,
     frobenius_norm,
+    inv,
     norm_lower_bound,
     rank,
     spectral_norm,
@@ -364,7 +366,7 @@ def _eigenvectors_certified(
         which = np.flatnonzero(mults == mu)
         stacked = block[:, starts[which, None] + np.arange(mu)].transpose(1, 0, 2)
         gram = stacked.conj().transpose(0, 2, 1) @ stacked
-        gram_min[which] = np.linalg.eigvalsh(gram)[:, 0]
+        gram_min[which] = eigvalsh(gram)[:, 0]
     smin = np.sqrt(np.maximum(gram_min - 2.0 * (n + mults + 2) * _EPS * vnorm**2, 0.0))
     size = np.abs(values)
     resid += n * _EPS * (np.sqrt(n) * hi + size) * vnorm
@@ -419,7 +421,7 @@ def _cond_checked_inverse(psi: np.ndarray, tol: Tolerance) -> np.ndarray:
         raise NonDiagonalizable(
             f"eigenvector condition number {psi_cond:.3e} exceeds {tol.cond_max:.3e}"
         )
-    return np.linalg.inv(psi)
+    return inv(psi)
 
 
 def decompose(h, tol: Tolerance = DEFAULT_TOLERANCE) -> BiorthonormalSystem:

@@ -45,6 +45,7 @@ from .linalg import (
     _rank_of,
     _store_read_only,
     as_matrix,
+    eigh,
     frobenius_norm,
     kernels_from_solves,
     norm_lower_bound,
@@ -273,7 +274,7 @@ def _restricted_form(basis: np.ndarray, eta: EtaOperator) -> tuple[np.ndarray, n
     """Eigenvalues and eigenvectors of the Hermitian part of
     basis^H eta basis."""
     restricted = basis.conj().T @ eta.matrix @ basis
-    return np.linalg.eigh(0.5 * (restricted + restricted.conj().T))
+    return eigh(0.5 * (restricted + restricted.conj().T))
 
 
 def _possibly_null(
@@ -329,10 +330,11 @@ def _sectors(
     bases W of ker D and W# of ker D^H within sine theta of them: W, and
     K# = orth(eta-^-1 W#) within theta ||eta-||_F ||eta-^-1||_F, since an
     invertible map widens the sine of an angle by at most its condition
-    number."""
+    number. eta-^-1 is read once, for both uses."""
     eta_minus = psys.eta_minus
-    k_sharp = _orthonormal(eta_minus.inverse @ w_sharp)
-    widened = theta * frobenius_norm(eta_minus.matrix) * frobenius_norm(eta_minus.inverse)
+    eta_minus_inv = eta_minus.inverse
+    k_sharp = _orthonormal(eta_minus_inv @ w_sharp)
+    widened = theta * frobenius_norm(eta_minus.matrix) * frobenius_norm(eta_minus_inv)
     return (w, psys.eta_plus, theta), (k_sharp, eta_minus, widened)
 
 

@@ -171,11 +171,12 @@ def match_value_multisets(left, right) -> float:
 
 def pair_pipeline(h1, h2):
     """The benchmark's pair pipeline: decompose x2 -> factor -> verify ->
-    graded system -> algebra -> Witten index."""
+    graded system -> algebra -> Witten index. Returns the factorization and
+    the Witten report, which the benchmark's output keeps too."""
     fact = canonical_factorization(decompose(h1), decompose(h2))
     verify_pseudo_hermiticity(h1, fact.eta1)
     verify_pseudo_hermiticity(h2, fact.eta2)
     verify_intertwining(fact.matrix, h1, h2)
     psys = from_factorization(fact)
     verify_algebra(psys)
-    return witten_index(psys)
+    return fact, witten_index(psys)

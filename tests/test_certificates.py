@@ -183,7 +183,7 @@ def metric_with_kernel(planted, rng, n=12, spread=True):
     eta = (u * np.concatenate([[planted, 4.0], rest])) @ u.conj().T
     eta = 0.5 * (eta + eta.conj().T)
     kernel = u[:, :2] @ random_unitary(2, rng)
-    return kernel, EtaOperator(matrix=eta, inverse=np.linalg.inv(eta))
+    return kernel, EtaOperator(matrix=eta, inverse_form=np.linalg.inv(eta))
 
 
 class TestNonNull:
@@ -243,7 +243,7 @@ class TestCounts:
         h2 = matrix_with_spectrum(values, rng)
         calls = svd_counter(monkeypatch)
         systems = spy(monkeypatch, susy, "singular_system")
-        wit = pair_pipeline(h1, h2)
+        _, wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.delta) == (0, 0, 0)
         # D's singular values; decompose's norm brackets decide every cluster
         assert calls == [False]
@@ -256,7 +256,7 @@ class TestCounts:
         h2 = matrix_with_spectrum(values, rng)
         calls = svd_counter(monkeypatch)
         systems = spy(monkeypatch, susy, "singular_system")
-        wit = pair_pipeline(h1, h2)
+        _, wit = pair_pipeline(h1, h2)
         assert (wit.d0_plus, wit.d0_minus, wit.ker_d, wit.ker_d_dagger) == (1, 1, 1, 1)
         assert (wit.betti_plus, wit.betti_minus) == (1, 1)
         # D's singular values; the kernels of D and D^H come from two LU

@@ -283,7 +283,7 @@ class TestLsharp:
 
     def test_follows_a_replaced_metric(self, fact):
         # doubling eta2 doubles L# = eta1^-1 L^H eta2 exactly
-        eta2 = EtaOperator(matrix=2.0 * fact.eta2.matrix, inverse=0.5 * fact.eta2.inverse)
+        eta2 = EtaOperator(matrix=2.0 * fact.eta2.matrix, inverse_form=0.5 * fact.eta2.inverse)
         assert np.array_equal(replace(fact, eta2=eta2).lsharp, 2.0 * fact.lsharp)
 
     def test_cannot_be_passed_in(self, fact):

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm.errors import InvalidEta, NotPseudoHermitian, RealSpectrumRequired
+from pseudoherm.intertwine import canonical_factorization, self_factorization
 from pseudoherm.linalg import frobenius_norm, singular_values, spectral_norm
 from pseudoherm.metric import (
+    CanonicalInverse,
     EtaOperator,
     SignAssignment,
     antilinear_symmetry,
@@ -393,6 +395,60 @@ class TestEtaOperator:
         assert eta.norm == pytest.approx(np.linalg.norm(g, 2), rel=1e-14)
         assert eta.norm == eta.norm
         assert calls == ["svd", "norm"]
+
+
+def bits(a):
+    """The entries of a complex array as int64 pairs, so that equality is
+    bit for bit, the signs of zeros included."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestFormedInverse:
+    """A canonical metric holds eta^-1 as its `CanonicalInverse` and forms it
+    on each access; it and every pseudo-adjoint keep the bits of the direct
+    products (psi[:, p] * s) @ psi.conj().T and eta+^-1 @ A^H @ eta-."""
+
+    def assert_exact(self, sys, eta, a, eta_plus, eta_minus):
+        form = eta.inverse_form
+        assert isinstance(form, CanonicalInverse)
+        assert np.shares_memory(form.psi, sys.psi)
+        direct = (sys.psi[:, form.p] * form.s) @ sys.psi.conj().T
+        first, second = eta.inverse, eta.inverse
+        assert np.array_equal(bits(first), bits(direct))
+        assert not np.shares_memory(first, second)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        direct = eta_plus.inverse @ a.conj().T @ eta_minus.matrix
+        assert np.array_equal(bits(pseudo_adjoint(a, eta_plus, eta_minus)), bits(direct))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["pair_simple", "pair_degenerate"])
+    def test_benchmark_pairs(self, bench_inputs, workload, seed):
+        first, second = bench_inputs.pair_inputs(workload, seed)
+        sys1, sys2 = decompose(first.h), decompose(second.h)
+        fact = canonical_factorization(sys1, sys2)
+        self.assert_exact(sys1, fact.eta1, fact.matrix, fact.eta1, fact.eta2)
+        self.assert_exact(sys2, fact.eta2, fact.matrix.conj().T, fact.eta2, fact.eta1)
+
+    def test_real_eigenvectors(self):
+        # psi is a real permutation matrix, so nearly every entry and every
+        # imaginary part of each product is an exact zero: moving a
+        # conjugation turns their signs, and only adding 0.0 turns them back
+        sys = decompose(np.diag(np.linspace(-2.5, 3.5, 6)[::-1]))
+        assert not np.any(sys.psi.imag)
+        eta = canonical_eta(sys, SignAssignment.from_flat(sys, [1, -1] * 3))
+        fact = self_factorization(sys)
+        self.assert_exact(sys, eta, fact.matrix, eta, eta)
+        self.assert_exact(sys, fact.eta1, fact.matrix, fact.eta1, fact.eta2)
+
+    def test_explicit_pair_keeps_its_inverse(self):
+        g = positive_definite(4, np.random.default_rng(9))
+        inverse = np.linalg.inv(g)
+        eta = EtaOperator(matrix=g, inverse_form=inverse)
+        assert np.shares_memory(eta.inverse, inverse) and eta.inverse is eta.inverse
+        assert not eta.inverse.flags.writeable and inverse.flags.writeable
+        a = np.random.default_rng(10).standard_normal((4, 4)) + 0j
+        assert np.array_equal(bits(pseudo_adjoint(a, eta, eta)), bits(inverse @ a.conj().T @ g))
 
 
 class TestAntilinearSymmetry:

@@ -182,7 +182,7 @@ class TestCachesAfterReplace:
         m = positive_definite(4, np.random.default_rng(10))
         eta = EtaOperator.from_matrix(m)
         assert eta.norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-14)
-        scaled = replace(eta, matrix=3.0 * eta.matrix, inverse=eta.inverse / 3.0)
+        scaled = replace(eta, matrix=3.0 * eta.matrix, inverse_form=eta.inverse / 3.0)
         assert scaled.norm == pytest.approx(3.0 * np.linalg.norm(m, 2), rel=1e-14)
 
     def test_replace_keeps_the_arrays_read_only(self):

@@ -618,16 +618,17 @@ def test_from_factorization_takes_d_sharp_from_the_factorization():
 
 
 def _traced_peak(call):
-    """`call()` and the peak of tracemalloc's traced memory while it ran, in
-    bytes above what was live when it started."""
+    """`call()`, the peak of tracemalloc's traced memory while it ran, and
+    the memory its result holds once it returned, in bytes above what was
+    live when it started."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = call()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak - base, held - base
 
 
 def test_graded_system_keeps_no_partner_arrays():
@@ -641,11 +642,11 @@ def test_graded_system_keeps_no_partner_arrays():
         decompose(matrix_with_spectrum(values, rng)),
     )
     matrix_bytes = n * n * np.dtype(complex).itemsize
-    psys, peak = _traced_peak(lambda: from_factorization(fact))
+    psys, peak, _ = _traced_peak(lambda: from_factorization(fact))
     assert peak <= 2.1 * matrix_bytes
     assert rank(psys.d) == n
     witten_index(psys)  # first call: caches and lazy imports
-    wit, peak = _traced_peak(lambda: witten_index(psys))
+    wit, peak, _ = _traced_peak(lambda: witten_index(psys))
     assert (wit.d0_plus, wit.d0_minus) == (0, 0)
     assert peak < matrix_bytes / 4
 
@@ -663,21 +664,25 @@ def test_witten_index_of_a_singular_square_d_takes_no_full_svd():
         EtaOperator.from_matrix(positive_definite(n, rng)),
     )
     witten_index(psys)  # first call: caches and lazy imports
-    wit, peak = _traced_peak(lambda: witten_index(psys))
+    wit, peak, _ = _traced_peak(lambda: witten_index(psys))
     assert (wit.d0_plus, wit.d0_minus) == (3, 3)
     assert peak < n * n * np.dtype(complex).itemsize / 4
 
 
 
 def test_pair_pipeline_peak_is_its_kept_arrays_and_two_temporaries(bench_inputs):
-    # one n = 256 pair with a three-dimensional zero cluster. From the
-    # factorization on, nine n x n arrays are kept: psi and phi of both
-    # systems, the two metrics and their inverses, and L. L# is formed only
-    # while a stage needs it and every residual is formed in place, so no
-    # stage adds more than two n x n arrays to them (D and D# at the end)
-    first, second = bench_inputs.pair_inputs("pair_degenerate", 1)
-    n = first.h.shape[0]
-    pair_pipeline(first.h, second.h)  # first call: caches and lazy imports
-    wit, peak = _traced_peak(lambda: pair_pipeline(first.h, second.h))
-    assert (n, wit.d0_plus, wit.d0_minus) == (256, 3, 3)
-    assert peak / (n * n * np.dtype(complex).itemsize) <= 11.5
+    # one n = 256 pair of each workload. From the factorization on, seven
+    # n x n arrays are kept: psi and phi of both systems, the two metrics and
+    # L. Neither eta^-1 nor L# is kept: each is formed only while a stage
+    # needs it, and every residual is formed in place. The verification of
+    # pseudo-Hermiticity adds three arrays to the kept ones (eta H, eta^-1
+    # and the residual), and the pair_degenerate pair's Witten stage adds D,
+    # D# and a formed eta-^-1 with its one temporary
+    matrix_bytes = 256 * 256 * np.dtype(complex).itemsize
+    for workload, zero_modes, bound in (("pair_simple", 0, 10.5), ("pair_degenerate", 3, 11.5)):
+        first, second = bench_inputs.pair_inputs(workload, 1)
+        pair_pipeline(first.h, second.h)  # first call: caches and lazy imports
+        (_, wit), peak, held = _traced_peak(lambda: pair_pipeline(first.h, second.h))
+        assert (first.h.shape[0], wit.d0_plus, wit.d0_minus) == (256, zero_modes, zero_modes)
+        assert peak / matrix_bytes <= bound
+        assert held / matrix_bytes <= 7.5
